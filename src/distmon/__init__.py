@@ -41,7 +41,7 @@ from .transform import (
 from .harness import (
     GOLDEN, Scenario, builtin_examples, default_universe, emit_report,
     generate_universe, load_scenario, run_examples, run_suite,
-    scenario_from_dict, tensor_closure,
+    scenario_from_dict,
 )
 
 __version__ = "0.1.0"

@@ -89,10 +89,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CoverageError, StructureMismatch) as exc:
+    except (ScenarioError, CoverageError, StructureMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,11 +13,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import DistmonError, ParseError, ValidationError
 from .exactlin import (
-    GradedObject, MONOIDS, check_base, sort_universe, tensor_obj, unit_object,
+    GradedObject, MONOIDS, check_base, sort_universe, unit_object,
 )
 from .fields import FieldError, PrimeField, RATIONAL
 from .distortion import (
@@ -27,8 +27,8 @@ from .distortion import (
     symmetric_braiding,
 )
 from .twist import (
-    AXIOMS as TWIST_AXIOMS, check_idempotent_axiom, identity_idempotent,
-    parity_projector, search_structural_idempotents, twist,
+    check_idempotent_axiom, identity_idempotent, parity_projector,
+    search_structural_idempotents, twist,
 )
 from .laxfun import (
     check_lax_axioms, check_laxator_naturality, check_SLambda, check_Ssigma,
@@ -44,7 +44,7 @@ from .reports import CheckBudget, CheckReport, Coverage, Witness
 
 
 # ---------------------------------------------------------------------------
-# universe generation and closure
+# universe generation
 
 
 def generate_universe(monoid, max_degree: int, max_dim: int,
@@ -73,55 +73,61 @@ def default_universe(monoid) -> tuple[GradedObject, ...]:
     return generate_universe(monoid, 0, 2, 1)
 
 
-def tensor_closure(universe: Sequence[GradedObject],
-                   depth: int) -> tuple[GradedObject, ...]:
-    """Universe plus tensor composites of at most ``depth`` extra factors."""
-    base = sort_universe(universe)
-    out = set(base)
-    layer = set(base)
-    for _ in range(depth):
-        layer = {
-            tensor_obj(a, b)
-            for a in layer for b in base
-        } | {
-            tensor_obj(a, b)
-            for a in base for b in layer
-        }
-        out |= layer
-    return sort_universe(out)
-
-
 # ---------------------------------------------------------------------------
-# scenario schema
+# scenarios: each document field is validated and built in one place
 
-
-CHECK_IDS = (
-    "base",
-    "D1", "D2", "D3", "D4", "lambda_sigma", "classify",
-    "E0", "E1", "E2L", "E2R", "E2L_cocycle", "E2R_cocycle", "BL", "BR",
-    "search_idempotents",
-    "lax", "SLambda", "Ssigma", "laxator_naturality", "triple_strictness",
-    "monoidal", "lambda_conjugation", "interchange", "horizontal_strictness",
-)
-
-LAMBDA_DEPENDENT = {"D2", "D4", "lambda_sigma", "SLambda", "lambda_conjugation"}
-CLOSURE_SENSITIVE = {"D3", "E2L", "E2R", "E2L_cocycle", "E2R_cocycle", "BL", "BR"}
-IDEMPOTENT_CHECKS = set(TWIST_AXIOMS)
-FUNCTOR_CHECKS = {"lax", "SLambda", "Ssigma", "laxator_naturality"}
-CELL_CHECKS = {"monoidal", "lambda_conjugation"}
 
 _TOP_KEYS = {
-    "field", "grading", "universe", "closure_depth", "sigma", "lambda",
-    "braiding", "idempotent", "functors", "chain", "transformations",
+    "field", "grading", "universe", "sigma", "lambda", "braiding",
+    "idempotent", "functors", "chain", "transformations",
     "horizontal_chains", "interchange_quadruples", "checks", "seed",
     "samples", "max_tuples",
 }
 _REQUIRED_KEYS = {"field", "grading", "universe", "checks", "seed"}
 
+# Keys each family kind takes besides "kind".
+_BRAIDINGS = {"symmetric": (), "koszul": ()}
+_SIGMAS = {**_BRAIDINGS, "twist": ("braiding", "idempotent")}
+_IDEMPOTENTS = {"identity": (), "parity_projector": ()}
+_UNITS = {"identity": ("name",), "character": ("name", "t"),
+          "table": ("name", "values")}
+_FUNCTORS = {"identity": ("name",), "truncation": ("name", "bound"),
+             "collapse": ("name",)}
+_CELLS = {"projection": ("name", "from", "to"),
+          "identity": ("name", "functor")}
+
+
+@dataclass(frozen=True, eq=False)
+class _Variant:
+    """The structure built on one unit distortion, with its 1- and 2-cells.
+
+    ``label`` is ``lambda=<name>`` when the document lists several unit
+    distortions, else None."""
+
+    label: Optional[str]
+    ds: DistortedStructure
+    functors: dict
+    cells: dict
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A validated scenario document and the runtime built from it.
+
+    ``variants`` holds one structure per unit distortion (the first is the
+    one checks that do not depend on Lambda run on); ``rows`` maps each
+    catalog key (``chain``, ``horizontal_chains``,
+    ``interchange_quadruples``) to its (label, resolved row) pairs.
+    """
+
     raw: dict
+    field: object
+    universe: tuple[GradedObject, ...]
+    budget: CheckBudget
+    variants: tuple[_Variant, ...]
+    braiding: object
+    idempotent: object
+    rows: dict
 
     @property
     def seed(self) -> int:
@@ -151,238 +157,292 @@ def _expect(cond: bool, key: str, message: str) -> None:
         raise ValidationError(key, message)
 
 
-def _check_int(doc, key, minimum, default=None, maximum=None):
-    if key not in doc:
-        return default
-    v = doc[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool), key,
-            "must be an integer")
-    _expect(v >= minimum, key, f"must be >= {minimum}")
-    if maximum is not None:
-        _expect(v <= maximum, key, f"must be <= {maximum}")
-    return v
+def _built(key: str, build: Callable, *args):
+    """``build(*args)``, with a construction error reported under ``key``."""
+    try:
+        return build(*args)
+    except (DistmonError, FieldError) as exc:
+        raise ValidationError(key, str(exc)) from None
 
 
-def _validate_family(spec, key, kinds):
+def _int(value, key: str, minimum: int, below: Optional[int] = None) -> int:
+    """An integer field in ``[minimum, below)``; booleans are rejected."""
+    ok = (isinstance(value, int) and not isinstance(value, bool)
+          and value >= minimum and (below is None or value < below))
+    bounds = f">= {minimum}" if below is None else f"in [{minimum}, {below})"
+    _expect(ok, key, f"must be an integer {bounds}")
+    return value
+
+
+def _scalar(field, value, key: str):
+    _expect(isinstance(value, (str, int)) and not isinstance(value, bool), key,
+            "must be an exact scalar string or integer")
+    return _built(key, field.parse, str(value))
+
+
+def _name(spec: dict, key: str) -> str:
+    name = spec.get("name")
+    _expect(isinstance(name, str) and bool(name), f"{key}.name", "is required")
+    return name
+
+
+def _kind(spec, key: str, kinds: dict) -> str:
+    """The ``kind`` of an object spec whose other keys all belong to it."""
     _expect(isinstance(spec, dict), key, "must be an object")
     _expect("kind" in spec, f"{key}.kind", "is required")
     kind = spec["kind"]
-    _expect(kind in kinds, f"{key}.kind", f"must be one of {sorted(kinds)}")
-    allowed = {"kind"}
+    _expect(isinstance(kind, str) and kind in kinds, f"{key}.kind",
+            f"must be one of {sorted(kinds)}")
+    for extra in sorted(set(spec) - {"kind", *kinds[kind]}):
+        raise ValidationError(f"{key}.{extra}", "unknown key")
+    return kind
+
+
+def _field(spec):
+    if spec == "rational":
+        return RATIONAL
+    _expect(isinstance(spec, dict) and set(spec) == {"prime"}, "field",
+            'must be "rational" or {"prime": p}')
+    return _built("field.prime", PrimeField, _int(spec["prime"], "field.prime", 2))
+
+
+def _table(table, key: str, monoid) -> GradedObject:
+    _expect(isinstance(table, dict), key, "must be a degree -> dimension table")
+    dims = {}
+    for text, dim in table.items():
+        entry = f"{key}.{text}"
+        text = str(text)
+        _expect(text.isascii() and text.isdigit(), entry,
+                "degree keys must be nonnegative integers")
+        degree = int(text)
+        _expect(degree not in dims, entry, "repeats a degree")
+        _expect(monoid.valid_degree(degree), entry,
+                f"degree {degree} is invalid for the {monoid.kind} grading")
+        dims[degree] = _int(dim, entry, 1)
+    return GradedObject.of(monoid, dims)
+
+
+def _universe(spec, monoid) -> tuple[GradedObject, ...]:
+    if isinstance(spec, dict):
+        bounds = ("max_degree", 0), ("max_dim", 1), ("max_support", 1)
+        _expect(set(spec) == {k for k, _ in bounds}, "universe",
+                "generator needs exactly max_degree, max_dim, max_support")
+        return generate_universe(monoid, *(
+            _int(spec[k], f"universe.{k}", lo) for k, lo in bounds))
+    _expect(isinstance(spec, list) and bool(spec), "universe",
+            "must be a generator object or a nonempty list of dim tables")
+    return sort_universe(_table(table, f"universe[{idx}]", monoid)
+                         for idx, table in enumerate(spec))
+
+
+def _idempotent(spec, key: str, grading: str):
+    if _kind(spec, key, _IDEMPOTENTS) == "identity":
+        return identity_idempotent()
+    _expect(grading == "parity", key, "the parity projector needs parity grading")
+    return parity_projector()
+
+
+def _binary(spec, key: str, grading: str, kinds: dict = _BRAIDINGS):
+    kind = _kind(spec, key, kinds)
+    if kind == "twist":
+        return twist(
+            _binary(spec.get("braiding", {}), f"{key}.braiding", grading),
+            _idempotent(spec.get("idempotent", {}), f"{key}.idempotent", grading))
+    if kind == "koszul":
+        _expect(grading == "parity", key,
+                "the Koszul sign rule needs parity grading")
+        return koszul_braiding()
+    return symmetric_braiding()
+
+
+def _unit(spec, key: str, field):
+    kind = _kind(spec, key, _UNITS)
+    if kind == "identity":
+        return identity_unit()
     if kind == "character":
-        allowed |= {"t", "name"}
         _expect("t" in spec, f"{key}.t", "is required for a character")
-        _expect(isinstance(spec["t"], (str, int)), f"{key}.t",
-                "must be an exact scalar string or integer")
-    elif kind == "table":
-        allowed |= {"values", "name"}
-        _expect(isinstance(spec.get("values"), list) and spec["values"],
-                f"{key}.values", "must be a nonempty list of exact scalars")
-    elif kind == "twist":
-        allowed |= {"braiding", "idempotent"}
-        _validate_family(spec.get("braiding", {}), f"{key}.braiding",
-                         {"symmetric", "koszul"})
-        _validate_family(spec.get("idempotent", {}), f"{key}.idempotent",
-                         {"identity", "parity_projector"})
-    elif kind == "identity" and key.startswith("lambda"):
-        allowed |= {"name"}
-    extra = set(spec) - allowed
-    _expect(not extra, f"{key}.{sorted(extra)[0]}" if extra else key,
-            "unknown key")
+        return graded_character(_scalar(field, spec["t"], f"{key}.t"))
+    values = spec.get("values")
+    _expect(isinstance(values, list) and bool(values), f"{key}.values",
+            "must be a nonempty list of exact scalars")
+    coeffs = [_scalar(field, v, f"{key}.values[{i}]") for i, v in enumerate(values)]
+    return _built(f"{key}.values", character_family, field, coeffs)
 
 
-def validate_scenario(doc) -> None:
+def _units(doc, field) -> list[tuple[Optional[str], object]]:
+    """(label, unit distortion) per declared Lambda family."""
+    spec = doc.get("lambda", {"kind": "identity"})
+    if not isinstance(spec, list):
+        return [(None, _unit(spec, "lambda", field))]
+    _expect(bool(spec), "lambda", "must not be an empty list")
+    out = []
+    for idx, item in enumerate(spec):
+        key = f"lambda[{idx}]"
+        unit = _unit(item, key, field)
+        name = _name(item, key)
+        out.append((f"lambda={name}" if len(spec) > 1 else None, unit))
+    return out
+
+
+def _declared(doc, key: str) -> list:
+    specs = doc.get(key, [])
+    _expect(isinstance(specs, list), key, "must be a list")
+    return specs
+
+
+def _functors(doc, ds: DistortedStructure) -> dict:
+    out = {}
+    for idx, spec in enumerate(_declared(doc, "functors")):
+        key = f"functors[{idx}]"
+        kind = _kind(spec, key, _FUNCTORS)
+        name = _name(spec, key)
+        _expect(name not in out, "functors", "names must be unique")
+        if kind == "truncation":
+            bound = _int(spec.get("bound"), f"{key}.bound", 0)
+            _expect(ds.monoid.kind == "nat", f"{key}.kind",
+                    "truncation needs the nat grading")
+            out[name] = truncation_functor(ds, bound)
+        elif kind == "collapse":
+            out[name] = collapse_functor(ds)
+        else:
+            out[name] = identity_functor(ds)
+    return out
+
+
+def _functor_ref(spec: dict, key: str, ref: str, functors: dict):
+    name = spec.get(ref)
+    _expect(isinstance(name, str) and name in functors, f"{key}.{ref}",
+            "must name a declared functor")
+    return functors[name]
+
+
+def _cells(doc, functors: dict) -> dict:
+    out = {}
+    for idx, spec in enumerate(_declared(doc, "transformations")):
+        key = f"transformations[{idx}]"
+        kind = _kind(spec, key, _CELLS)
+        name = _name(spec, key)
+        _expect(name not in out, "transformations", "names must be unique")
+        if kind == "identity":
+            out[name] = identity_transformation(
+                _functor_ref(spec, key, "functor", functors))
+            continue
+        source = _functor_ref(spec, key, "from", functors)
+        target = _functor_ref(spec, key, "to", functors)
+        _expect(source.info[0] == "truncation", f"{key}.from",
+                "must name a truncation functor")
+        out[name] = _built(f"{key}.to", projection_transformation, source, target)
+    return out
+
+
+def _row(names, key: str, width: int, table: dict, what: str) -> list:
+    _expect(isinstance(names, list) and len(names) == width, key,
+            f"must list exactly {width} {what} names")
+    for name in names:
+        _expect(isinstance(name, str) and name in table, key,
+                f"undeclared {what} {name!r}")
+    return [table[name] for name in names]
+
+
+# Whether a functor, or a 2-cell horizontally or vertically, composes
+# after another one.
+
+def _follows(inner, outer) -> bool:
+    return inner.target is outer.source
+
+
+def _beside(inner, outer) -> bool:
+    return (_follows(inner.source_functor, outer.source_functor)
+            and _follows(inner.target_functor, outer.target_functor))
+
+
+def _stacked(lower, upper) -> bool:
+    return lower.target_functor is upper.source_functor
+
+
+def _rows(doc, variant: _Variant) -> dict:
+    """Catalog rows resolved against the first variant's 1- and 2-cells.
+
+    ``chain`` lists f, g, h innermost first and is labelled by its
+    composite ``h*g*f``; a 2-cell row is labelled by its names.
+    """
+    rows = {}
+    if "chain" in doc:
+        f, g, h = _row(doc["chain"], "chain", 3, variant.functors, "functor")
+        _expect(_follows(f, g) and _follows(g, h), "chain",
+                "the functors do not compose in this order")
+        rows["chain"] = [("*".join(reversed(doc["chain"])), (h, g, f))]
+    composable = {
+        "horizontal_chains": (3, lambda a, b, c: _beside(a, b) and _beside(b, c)),
+        "interchange_quadruples": (4, lambda eta, theta, phi, psi: (
+            _stacked(eta, theta) and _stacked(phi, psi)
+            and _beside(eta, phi) and _beside(theta, psi))),
+    }
+    for key, (width, ok) in composable.items():
+        if key not in doc:
+            continue
+        entry = doc[key]
+        _expect(isinstance(entry, list) and bool(entry), key,
+                "must be a nonempty list")
+        rows[key] = []
+        for idx, names in enumerate(entry):
+            cells = _row(names, f"{key}[{idx}]", width, variant.cells,
+                         "transformation")
+            _expect(ok(*cells), f"{key}[{idx}]",
+                    "the transformations do not compose in this order")
+            rows[key].append((",".join(names), tuple(cells)))
+    return rows
+
+
+def scenario_from_dict(doc: dict) -> Scenario:
+    """Validate a scenario document and build its runtime; every error is a
+    ValidationError naming the offending key."""
     _expect(isinstance(doc, dict), "document", "must be a JSON object")
     for key in sorted(_REQUIRED_KEYS - set(doc)):
         raise ValidationError(key, "is required")
     for key in sorted(set(doc) - _TOP_KEYS):
         raise ValidationError(key, "unknown key")
 
-    field = doc["field"]
-    if field != "rational":
-        _expect(isinstance(field, dict) and set(field) == {"prime"},
-                "field", 'must be "rational" or {"prime": p}')
-        try:
-            PrimeField(field["prime"])
-        except FieldError as exc:
-            raise ValidationError("field.prime", str(exc)) from None
-
-    _expect(doc["grading"] in MONOIDS, "grading",
+    field = _field(doc["field"])
+    grading = doc["grading"]
+    _expect(isinstance(grading, str) and grading in MONOIDS, "grading",
             'must be "trivial", "parity" or "nat"')
-
-    universe = doc["universe"]
-    if isinstance(universe, dict):
-        _expect(set(universe) == {"max_degree", "max_dim", "max_support"},
-                "universe",
-                "generator needs exactly max_degree, max_dim, max_support")
-        _check_int(universe, "max_degree", 0)
-        _expect("max_degree" in universe, "universe.max_degree", "is required")
-        for k, lo in (("max_degree", 0), ("max_dim", 1), ("max_support", 1)):
-            v = universe[k]
-            _expect(isinstance(v, int) and v >= lo, f"universe.{k}",
-                    f"must be an integer >= {lo}")
-    else:
-        _expect(isinstance(universe, list) and universe, "universe",
-                "must be a generator object or a nonempty list of dim tables")
-        for idx, table in enumerate(universe):
-            _expect(isinstance(table, dict), f"universe[{idx}]",
-                    "must be a degree -> dimension table")
-            for dk, dv in table.items():
-                _expect(str(dk).isdigit(), f"universe[{idx}].{dk}",
-                        "degree keys must be nonnegative integers")
-                _expect(isinstance(dv, int) and dv >= 1, f"universe[{idx}].{dk}",
-                        "dimensions must be integers >= 1")
-
-    closure = _check_int(doc, "closure_depth", 0, default=2, maximum=2)
-    _check_int(doc, "samples", 1, default=3)
-    _check_int(doc, "max_tuples", 1, default=4096)
-    seed = doc["seed"]
-    _expect(isinstance(seed, int) and not isinstance(seed, bool)
-            and 0 <= seed < 2 ** 64, "seed", "must be an integer in [0, 2**64)")
+    monoid = MONOIDS[grading]
+    universe = _universe(doc["universe"], monoid)
+    budget = CheckBudget(
+        max_object_tuples=_int(doc.get("max_tuples", 4096), "max_tuples", 1),
+        sample_maps=_int(doc.get("samples", 3), "samples", 1),
+        seed=_int(doc["seed"], "seed", 0, 2 ** 64),
+    )
 
     checks = doc["checks"]
-    _expect(isinstance(checks, list) and checks, "checks",
+    _expect(isinstance(checks, list) and bool(checks), "checks",
             "must be a nonempty list of axiom ids")
     for c in checks:
-        _expect(c in CHECK_IDS, "checks", f"unknown check id {c!r}")
+        _expect(isinstance(c, str) and c in CHECKS, "checks",
+                f"unknown check id {c!r}")
 
-    if "sigma" in doc:
-        _validate_family(doc["sigma"], "sigma", {"symmetric", "koszul", "twist"})
-    if "braiding" in doc:
-        _validate_family(doc["braiding"], "braiding", {"symmetric", "koszul"})
-    if "idempotent" in doc:
-        _validate_family(doc["idempotent"], "idempotent",
-                         {"identity", "parity_projector"})
-    lam = doc.get("lambda", {"kind": "identity"})
-    lam_list = lam if isinstance(lam, list) else [lam]
-    _expect(bool(lam_list), "lambda", "must not be an empty list")
-    for idx, spec in enumerate(lam_list):
-        key = f"lambda[{idx}]" if isinstance(lam, list) else "lambda"
-        _validate_family(spec, key, {"identity", "character", "table"})
-        if isinstance(lam, list):
-            _expect(isinstance(spec.get("name"), str) and spec["name"], f"{key}.name",
-                    "is required when several unit families are listed")
+    sigma = _binary(doc.get("sigma", {"kind": "symmetric"}), "sigma", grading,
+                    _SIGMAS)
+    braiding = _binary(doc["braiding"], "braiding", grading) \
+        if "braiding" in doc else None
+    idempotent = _idempotent(doc["idempotent"], "idempotent", grading) \
+        if "idempotent" in doc else None
+    variants = []
+    for label, lam in _units(doc, field):
+        ds = DistortedStructure(field, monoid, universe, sigma, lam)
+        functors = _functors(doc, ds)
+        variants.append(_Variant(label, ds, functors, _cells(doc, functors)))
 
-    functors = doc.get("functors", [])
-    _expect(isinstance(functors, list), "functors", "must be a list")
-    fnames = []
-    for idx, spec in enumerate(functors):
-        key = f"functors[{idx}]"
-        _expect(isinstance(spec, dict), key, "must be an object")
-        _expect(isinstance(spec.get("name"), str) and spec["name"],
-                f"{key}.name", "is required")
-        kind = spec.get("kind")
-        _expect(kind in ("identity", "truncation", "collapse"), f"{key}.kind",
-                'must be "identity", "truncation" or "collapse"')
-        allowed = {"name", "kind"} | ({"bound"} if kind == "truncation" else set())
-        extra = set(spec) - allowed
-        _expect(not extra, f"{key}.{sorted(extra)[0]}" if extra else key,
-                "unknown key")
-        if kind == "truncation":
-            _expect(isinstance(spec.get("bound"), int) and spec["bound"] >= 0,
-                    f"{key}.bound", "must be an integer >= 0")
-            _expect(doc["grading"] == "nat", f"{key}.kind",
-                    "truncation needs the nat grading")
-        fnames.append(spec["name"])
-    _expect(len(fnames) == len(set(fnames)), "functors", "names must be unique")
+    for c in checks:
+        check = CHECKS[c]
+        for key in check.requires:
+            _expect(bool(doc.get(key)), key, f"is required by the {c} check")
+        _expect(grading in check.gradings, "grading",
+                f"the {c} check runs on the {' or '.join(check.gradings)} grading")
 
-    cells = doc.get("transformations", [])
-    _expect(isinstance(cells, list), "transformations", "must be a list")
-    cnames = []
-    for idx, spec in enumerate(cells):
-        key = f"transformations[{idx}]"
-        _expect(isinstance(spec, dict), key, "must be an object")
-        _expect(isinstance(spec.get("name"), str) and spec["name"],
-                f"{key}.name", "is required")
-        kind = spec.get("kind")
-        _expect(kind in ("projection", "identity"), f"{key}.kind",
-                'must be "projection" or "identity"')
-        if kind == "projection":
-            allowed = {"name", "kind", "from", "to"}
-            for ref in ("from", "to"):
-                _expect(spec.get(ref) in fnames, f"{key}.{ref}",
-                        "must name a declared functor")
-        else:
-            allowed = {"name", "kind", "functor"}
-            _expect(spec.get("functor") in fnames, f"{key}.functor",
-                    "must name a declared functor")
-        extra = set(spec) - allowed
-        _expect(not extra, f"{key}.{sorted(extra)[0]}" if extra else key,
-                "unknown key")
-        cnames.append(spec["name"])
-    _expect(len(cnames) == len(set(cnames)), "transformations",
-            "names must be unique")
-
-    chain = doc.get("chain")
-    if chain is not None:
-        _expect(isinstance(chain, list) and len(chain) == 3, "chain",
-                "must list exactly three functor names")
-        for name in chain:
-            _expect(name in fnames, "chain", f"undeclared functor {name!r}")
-
-    for key in ("horizontal_chains", "interchange_quadruples"):
-        entry = doc.get(key)
-        if entry is None:
-            continue
-        want = 3 if key == "horizontal_chains" else 4
-        _expect(isinstance(entry, list) and entry, key, "must be a nonempty list")
-        for idx, row in enumerate(entry):
-            _expect(isinstance(row, list) and len(row) == want, f"{key}[{idx}]",
-                    f"must list exactly {want} transformation names")
-            for name in row:
-                _expect(name in cnames, f"{key}[{idx}]",
-                        f"undeclared transformation {name!r}")
-
-    # cross-field rules
-    requested = set(checks)
-    if requested & CLOSURE_SENSITIVE:
-        _expect(closure >= 2, "closure_depth",
-                "must be >= 2 when hexagon or multiplicativity checks run")
-    if requested & IDEMPOTENT_CHECKS:
-        _expect("idempotent" in doc, "idempotent",
-                "is required by the requested idempotent axioms")
-    if requested & {"BL", "BR"} or "search_idempotents" in requested:
-        _expect("braiding" in doc, "braiding",
-                "is required by sliding axioms and the idempotent search")
-    if "search_idempotents" in requested:
-        _expect(doc["grading"] == "parity", "grading",
-                "the structural idempotent search is parity-only")
-    if "classify" in requested:
-        _expect(doc["grading"] == "trivial", "grading",
-                "classification runs on the trivially graded model")
-    if requested & FUNCTOR_CHECKS:
-        _expect(bool(fnames), "functors",
-                "at least one functor is required by the requested checks")
-    if "triple_strictness" in requested:
-        _expect(chain is not None, "chain",
-                "is required by triple_strictness")
-    if requested & CELL_CHECKS:
-        _expect(bool(cnames), "transformations",
-                "at least one transformation is required by the requested checks")
-    if "interchange" in requested:
-        _expect("interchange_quadruples" in doc, "interchange_quadruples",
-                "is required by the interchange check")
-    if "horizontal_strictness" in requested:
-        _expect("horizontal_chains" in doc, "horizontal_chains",
-                "is required by the horizontal strictness check")
-    if doc["grading"] != "parity":
-        for key in ("sigma", "braiding"):
-            spec = doc.get(key)
-            if spec and (spec.get("kind") == "koszul"
-                         or (spec.get("kind") == "twist"
-                             and spec["braiding"]["kind"] == "koszul")):
-                raise ValidationError(key, "the Koszul sign rule needs parity grading")
-            if spec and spec.get("kind") == "twist" \
-                    and spec["idempotent"]["kind"] == "parity_projector":
-                raise ValidationError(key, "the parity projector needs parity grading")
-        if doc.get("idempotent", {}).get("kind") == "parity_projector":
-            raise ValidationError("idempotent",
-                                  "the parity projector needs parity grading")
-
-
-def scenario_from_dict(doc: dict) -> Scenario:
-    validate_scenario(doc)
-    return Scenario(doc)
+    return Scenario(doc, field, universe, budget, tuple(variants), braiding,
+                    idempotent, _rows(doc, variants[0]))
 
 
 def load_scenario(path) -> Scenario:
@@ -391,112 +451,137 @@ def load_scenario(path) -> Scenario:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"scenario file is not valid JSON: {exc}") from None
     return scenario_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
-# runtime context
+# the check table
 
 
-@dataclass(eq=False)
-class _Variant:
-    lam_name: Optional[str]
-    ds: DistortedStructure
-    functors: dict
-    cells: dict
+@dataclass(frozen=True)
+class Check:
+    """One check id: its checker, the targets it runs on, and what it needs.
+
+    ``run(target, scenario)`` returns a CheckReport (for the search scope,
+    a SearchReport).  ``scope`` names the targets (see ``_SCOPES``); with
+    ``per_lambda`` the check runs on every Lambda variant instead of the
+    first.  ``requires`` lists document keys that must be present and
+    nonempty (for the row scope the first of them names the rows);
+    ``gradings`` the gradings the check is defined on.
+    """
+
+    run: Callable
+    scope: str = "structure"
+    per_lambda: bool = False
+    requires: tuple[str, ...] = ()
+    gradings: tuple[str, ...] = tuple(MONOIDS)
 
 
-def _build_field(doc):
-    if doc["field"] == "rational":
-        return RATIONAL
-    return PrimeField(doc["field"]["prime"])
+def _classify(field) -> CheckReport:
+    result = classify_scalar_unit_families(field)
+    shown = "[" + ", ".join(field.fmt(c) for c in result) + "]"
+    cov = Coverage(1, note=f"surviving scalars: {shown}")
+    return CheckReport("classify", "pass" if result == [field.one] else "fail", cov)
 
 
-def _build_universe(doc, monoid):
-    spec = doc["universe"]
-    if isinstance(spec, dict):
-        return generate_universe(monoid, spec["max_degree"], spec["max_dim"],
-                                 spec["max_support"])
-    objs = [
-        GradedObject.of(monoid, {int(k): v for k, v in table.items()})
-        for table in spec
-    ]
-    return sort_universe(objs)
+def _twist_check(axiom: str, *requires: str) -> Check:
+    return Check(lambda _, sc: check_idempotent_axiom(
+        sc.field, sc.idempotent, axiom, sc.universe, sc.budget,
+        beta=sc.braiding), requires=("idempotent", *requires))
 
 
-def _build_binary(spec):
-    kind = spec["kind"]
-    if kind == "symmetric":
-        return symmetric_braiding()
-    if kind == "koszul":
-        return koszul_braiding()
-    return twist(_build_binary(spec["braiding"]),
-                 _build_idempotent(spec["idempotent"]))
+# Checkers are called through lambdas so that each call looks the checker
+# up in this module's namespace, where instrumentation may have wrapped it.
+CHECKS: dict[str, Check] = {
+    "base": Check(lambda _, sc: check_base(sc.field, sc.universe, sc.budget)),
+    "D1": Check(lambda v, sc: check_D1(v.ds, sc.budget)),
+    "D2": Check(lambda v, sc: check_D2(v.ds, sc.budget), per_lambda=True),
+    "D3": Check(lambda v, sc: check_D3(v.ds, sc.budget)),
+    "D4": Check(lambda v, sc: check_D4(v.ds, sc.budget), per_lambda=True),
+    "lambda_sigma": Check(lambda v, sc: check_lambda_sigma_commute(v.ds, sc.budget),
+                          per_lambda=True),
+    "classify": Check(lambda _, sc: _classify(sc.field), gradings=("trivial",)),
+    "E0": _twist_check("E0"),
+    "E1": _twist_check("E1"),
+    "E2L": _twist_check("E2L"),
+    "E2R": _twist_check("E2R"),
+    "E2L_cocycle": _twist_check("E2L_cocycle"),
+    "E2R_cocycle": _twist_check("E2R_cocycle"),
+    "BL": _twist_check("BL", "braiding"),
+    "BR": _twist_check("BR", "braiding"),
+    "search_idempotents": Check(
+        lambda _, sc: search_structural_idempotents(sc.field, sc.braiding,
+                                                    sc.universe, sc.budget),
+        scope="search row", requires=("braiding",), gradings=("parity",)),
+    "lax": Check(lambda f, sc: check_lax_axioms(f, sc.budget), scope="functor",
+                 requires=("functors",)),
+    "SLambda": Check(lambda f, sc: check_SLambda(f, sc.budget), scope="functor",
+                     per_lambda=True, requires=("functors",)),
+    "Ssigma": Check(lambda f, sc: check_Ssigma(f, sc.budget), scope="functor",
+                    requires=("functors",)),
+    "laxator_naturality": Check(
+        lambda f, sc: check_laxator_naturality(f, sc.budget), scope="functor",
+        requires=("functors",)),
+    "triple_strictness": Check(
+        lambda row, sc: check_triple_strictness(*row, sc.budget), scope="row",
+        requires=("chain",)),
+    "monoidal": Check(lambda c, sc: check_monoidal(c, sc.budget), scope="cell",
+                      requires=("transformations",)),
+    "lambda_conjugation": Check(
+        lambda c, sc: check_lambda_conjugation(c, sc.budget), scope="cell",
+        per_lambda=True, requires=("transformations",)),
+    "interchange": Check(lambda row, sc: check_interchange(*row, sc.budget),
+                         scope="row", requires=("interchange_quadruples",)),
+    "horizontal_strictness": Check(
+        lambda _, sc: check_horizontal_strictness(
+            [row for _, row in sc.rows["horizontal_chains"]], sc.budget),
+        requires=("horizontal_chains",)),
+}
 
 
-def _build_idempotent(spec):
-    return parity_projector() if spec["kind"] == "parity_projector" \
-        else identity_idempotent()
+# A scope yields (report, label parts) per target, lazily, so that a
+# fail-fast run stops before the next target is checked.  Functor and cell
+# labels name the Lambda variant the cell was built on whenever the
+# document lists several.
 
 
-def _build_unit(spec, field):
-    kind = spec["kind"]
-    if kind == "identity":
-        return identity_unit()
-    if kind == "character":
-        return graded_character(field.parse(str(spec["t"])))
-    return character_family(field, [field.parse(str(v)) for v in spec["values"]])
+def _variants(check: Check, sc: Scenario):
+    return sc.variants if check.per_lambda else sc.variants[:1]
 
 
-def _build_functor(spec, ds):
-    kind = spec["kind"]
-    if kind == "identity":
-        return identity_functor(ds)
-    if kind == "truncation":
-        return truncation_functor(ds, spec["bound"])
-    return collapse_functor(ds)
+def _on_structure(check: Check, sc: Scenario):
+    for v in _variants(check, sc):
+        yield check.run(v, sc), (v.label if check.per_lambda else None,)
 
 
-def _build_cell(spec, functors):
-    if spec["kind"] == "projection":
-        return projection_transformation(functors[spec["from"]],
-                                         functors[spec["to"]])
-    return identity_transformation(functors[spec["functor"]])
+def _on_each(attr: str):
+    def scope(check: Check, sc: Scenario):
+        for v in _variants(check, sc):
+            for name, target in getattr(v, attr).items():
+                yield check.run(target, sc), (name, v.label)
+    return scope
 
 
-def _build_variants(scenario: Scenario):
-    doc = scenario.raw
-    field = _build_field(doc)
-    monoid = MONOIDS[doc["grading"]]
-    universe = _build_universe(doc, monoid)
-    sigma = _build_binary(doc.get("sigma", {"kind": "symmetric"}))
-    lam_spec = doc.get("lambda", {"kind": "identity"})
-    lam_list = lam_spec if isinstance(lam_spec, list) else [lam_spec]
-    multi = isinstance(lam_spec, list) and len(lam_list) > 1
+def _on_rows(check: Check, sc: Scenario):
+    for label, row in sc.rows[check.requires[0]]:
+        yield check.run(row, sc), (label,)
 
-    variants = []
-    for spec in lam_list:
-        lam = _build_unit(spec, field)
-        ds = DistortedStructure(field, monoid, universe, sigma, lam)
-        functors = {}
-        for fspec in doc.get("functors", []):
-            functors[fspec["name"]] = _build_functor(fspec, ds)
-        cells = {}
-        for cspec in doc.get("transformations", []):
-            cells[cspec["name"]] = _build_cell(cspec, functors)
-        variants.append(_Variant(spec.get("name") if multi else None,
-                                 ds, functors, cells))
 
-    budget = CheckBudget(
-        max_object_tuples=doc.get("max_tuples", 4096),
-        sample_maps=doc.get("samples", 3),
-        seed=doc["seed"],
-    )
-    braiding = _build_binary(doc["braiding"]) if "braiding" in doc else None
-    idem = _build_idempotent(doc["idempotent"]) if "idempotent" in doc else None
-    return field, universe, budget, variants, braiding, idem
+def _on_search_rows(check: Check, sc: Scenario):
+    for row in check.run(sc.variants[0], sc).rows:
+        for report in row.reports:
+            yield report, (f"c11={row.odd_odd_coefficient}",)
+
+
+_SCOPES = {
+    "structure": _on_structure,
+    "functor": _on_each("functors"),
+    "cell": _on_each("cells"),
+    "row": _on_rows,
+    "search row": _on_search_rows,
+}
 
 
 def _decorate(report: CheckReport, *parts: Optional[str]) -> CheckReport:
@@ -506,105 +591,16 @@ def _decorate(report: CheckReport, *parts: Optional[str]) -> CheckReport:
     return report.relabel(f"{report.axiom}[{','.join(bits)}]")
 
 
-def _lambda_part(variant: _Variant) -> Optional[str]:
-    return f"lambda={variant.lam_name}" if variant.lam_name else None
-
-
 def run_suite(scenario: Scenario, fail_fast: bool = False) -> list[CheckReport]:
     """Execute the requested checks in declared order; deterministic for a
     fixed scenario document."""
-    field, universe, budget, variants, braiding, idem = _build_variants(scenario)
-    first = variants[0]
     reports: list[CheckReport] = []
-
-    def emit(report):
-        reports.append(report)
-        return fail_fast and report.verdict == "fail"
-
-    for check in scenario.checks:
-        stop = False
-        if check == "base":
-            stop = emit(check_base(field, universe, budget))
-        elif check == "D1":
-            stop = emit(check_D1(first.ds, budget))
-        elif check == "D3":
-            stop = emit(check_D3(first.ds, budget))
-        elif check in ("D2", "D4", "lambda_sigma"):
-            fn = {"D2": check_D2, "D4": check_D4,
-                  "lambda_sigma": check_lambda_sigma_commute}[check]
-            for variant in variants:
-                stop = emit(_decorate(fn(variant.ds, budget),
-                                      _lambda_part(variant)))
-                if stop:
-                    break
-        elif check == "classify":
-            result = classify_scalar_unit_families(field)
-            ok = result == [field.one]
-            shown = "[" + ", ".join(field.fmt(c) for c in result) + "]"
-            cov = Coverage(1, note=f"surviving scalars: {shown}")
-            stop = emit(CheckReport("classify", "pass" if ok else "fail", cov))
-        elif check in IDEMPOTENT_CHECKS:
-            stop = emit(check_idempotent_axiom(field, idem, check, universe,
-                                               budget, beta=braiding))
-        elif check == "search_idempotents":
-            search = search_structural_idempotents(field, braiding, universe,
-                                                   budget)
-            for row in search.rows:
-                for report in row.reports:
-                    stop = emit(_decorate(report,
-                                          f"c11={row.odd_odd_coefficient}"))
-                    if stop:
-                        break
-                if stop:
-                    break
-        elif check in FUNCTOR_CHECKS:
-            fn = {"lax": check_lax_axioms, "SLambda": check_SLambda,
-                  "Ssigma": check_Ssigma,
-                  "laxator_naturality": check_laxator_naturality}[check]
-            use = variants if check in LAMBDA_DEPENDENT else [first]
-            for variant in use:
-                for name in variant.functors:
-                    stop = emit(_decorate(fn(variant.functors[name], budget),
-                                          name, _lambda_part(variant)))
-                    if stop:
-                        break
-                if stop:
-                    break
-        elif check == "triple_strictness":
-            f_name, g_name, h_name = scenario.raw["chain"]
-            report = check_triple_strictness(
-                first.functors[h_name], first.functors[g_name],
-                first.functors[f_name], budget)
-            stop = emit(_decorate(report, f"{h_name}*{g_name}*{f_name}"))
-        elif check in CELL_CHECKS:
-            fn = {"monoidal": check_monoidal,
-                  "lambda_conjugation": check_lambda_conjugation}[check]
-            use = variants if check in LAMBDA_DEPENDENT else [first]
-            for variant in use:
-                for name in variant.cells:
-                    stop = emit(_decorate(fn(variant.cells[name], budget),
-                                          name, _lambda_part(variant)))
-                    if stop:
-                        break
-                if stop:
-                    break
-        elif check == "interchange":
-            for row in scenario.raw["interchange_quadruples"]:
-                cells = [first.cells[name] for name in row]
-                report = check_interchange(*cells, budget)
-                stop = emit(_decorate(report, ",".join(row)))
-                if stop:
-                    break
-        elif check == "horizontal_strictness":
-            chains = [
-                [first.cells[name] for name in row]
-                for row in scenario.raw["horizontal_chains"]
-            ]
-            stop = emit(check_horizontal_strictness(chains, budget))
-        else:  # pragma: no cover - validation rejects unknown ids
-            raise ValidationError("checks", f"unknown check id {check!r}")
-        if stop:
-            break
+    for check_id in scenario.checks:
+        check = CHECKS[check_id]
+        for report, parts in _SCOPES[check.scope](check, scenario):
+            reports.append(_decorate(report, *parts))
+            if fail_fast and report.verdict == "fail":
+                return reports
     return reports
 
 
@@ -636,8 +632,7 @@ def _witness_doc(field, w: Witness) -> dict:
     }
 
 
-def report_document(scenario: Scenario, reports: Sequence[CheckReport],
-                    field) -> dict:
+def report_document(scenario: Scenario, reports: Sequence[CheckReport]) -> dict:
     checks = []
     for r in reports:
         cov = {
@@ -649,7 +644,7 @@ def report_document(scenario: Scenario, reports: Sequence[CheckReport],
             "axiom": r.axiom,
             "verdict": r.verdict,
             "coverage": cov,
-            "witness": _witness_doc(field, r.witness) if r.witness else None,
+            "witness": _witness_doc(scenario.field, r.witness) if r.witness else None,
         })
     return {
         "scenario_hash": scenario_hash(scenario),
@@ -683,9 +678,8 @@ def _witness_text(field, w: Witness) -> list[str]:
 
 def emit_report(scenario: Scenario, reports: Sequence[CheckReport],
                 fmt: str = "text") -> str:
-    field, _, _, _, _, _ = _build_variants(scenario)
     if fmt == "json":
-        doc = report_document(scenario, reports, field)
+        doc = report_document(scenario, reports)
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     lines = []
     for r in reports:
@@ -696,7 +690,7 @@ def emit_report(scenario: Scenario, reports: Sequence[CheckReport],
         note = f"  ({r.coverage.note})" if r.coverage.note else ""
         lines.append(f"[{tag}] {r.axiom}  {cov}{note}")
         if r.witness is not None:
-            lines.extend(_witness_text(field, r.witness))
+            lines.extend(_witness_text(scenario.field, r.witness))
     return "\n".join(lines) + "\n"
 
 
@@ -861,18 +855,18 @@ def run_examples(fmt: str = "text", seed: Optional[int] = None) -> tuple[str, bo
     """Run the builtin catalog against its expected-verdict table."""
     sections = []
     all_match = True
-    for name, scenario in builtin_examples():
+    for name, doc in _builtin_docs():
         if seed is not None:
-            scenario = scenario.with_overrides(seed=seed)
+            doc["seed"] = seed
+        scenario = scenario_from_dict(doc)
         reports = run_suite(scenario)
         got = tuple((r.axiom, r.verdict) for r in reports)
         match = got == GOLDEN[name]
         all_match = all_match and match
-        field, _, _, _, _, _ = _build_variants(scenario)
         if fmt == "json":
             sections.append({
                 "name": name,
-                "report": report_document(scenario, reports, field),
+                "report": report_document(scenario, reports),
                 "golden_match": match,
             })
         else:

@@ -7,7 +7,7 @@ from distmon import (
     DistortedStructure, GOLDEN, NAT, PARITY, TRIVIAL, builtin_examples,
     check_D4, default_universe, emit_report, generate_universe,
     load_scenario, run_examples, run_suite, scenario_from_dict,
-    sort_universe, tensor_closure, tensor_obj, unit_object,
+    sort_universe, unit_object,
 )
 from distmon.errors import ParseError, ValidationError
 from distmon.harness import scenario_hash
@@ -48,15 +48,6 @@ def test_sorted_canonically():
     assert list(got) == sorted(set(got), key=lambda o: (len(o.dims), o.dims))
 
 
-def test_tensor_closure_adds_products():
-    base = generate_universe(PARITY, 1, 1, 2)
-    closed = tensor_closure(base, 1)
-    for x in base:
-        for y in base:
-            assert tensor_obj(x, y) in closed
-    assert tensor_closure(base, 0) == sort_universe(base)
-
-
 # ---------------------------------------------------------------------------
 # scenario validation
 
@@ -79,13 +70,6 @@ def test_scenario_missing_seed():
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(doc)
     assert err.value.key == "seed"
-
-
-def test_scenario_closure_rule():
-    doc = minimal_doc(checks=["D3"], closure_depth=0)
-    with pytest.raises(ValidationError) as err:
-        scenario_from_dict(doc)
-    assert err.value.key == "closure_depth"
 
 
 def test_scenario_unknown_key_rejected():
@@ -158,6 +142,13 @@ def test_load_scenario_file_roundtrip(tmp_path):
 def test_load_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(ParseError):
+        load_scenario(path)
+
+
+def test_load_scenario_undecodable_file(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(ParseError):
         load_scenario(path)
 
