@@ -9,10 +9,10 @@ from .errors import (
 from .fields import FieldError, PrimeField, RATIONAL, Rationals
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, MONOIDS, NAT, PARITY, TRIVIAL,
-    associator, associator_inv, check_base, compose, graded_map, identity,
-    left_unitor, left_unitor_inv, pair_basis, pair_summands, right_unitor,
-    right_unitor_inv, sort_universe, tensor_map, tensor_obj,
-    triple_basis_left, triple_basis_right, unit_object, zero_map,
+    associator, associator_inv, check_base, collapse_map, compose, graded_map,
+    identity, left_unitor, left_unitor_inv, monomial_map, pair_basis,
+    pair_summands, right_unitor, right_unitor_inv, sort_universe, tensor_map,
+    tensor_obj, triple_basis_left, triple_basis_right, unit_object, zero_map,
 )
 from .reports import CheckBudget, CheckReport, Coverage, Witness
 from .distortion import (

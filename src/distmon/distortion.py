@@ -22,7 +22,7 @@ from .errors import BadUnitScalar, CoverageError, MonoidMismatch
 from .fields import RATIONAL
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, TRIVIAL,
-    compose, graded_map, identity,
+    compose, identity, monomial_map,
     associator, associator_inv,
     left_unitor, left_unitor_inv, right_unitor, right_unitor_inv,
     pair_basis, pair_decoder, sort_universe, tensor_map,
@@ -97,19 +97,12 @@ class TabulatedBinary:
 def _flip_map(field, x: GradedObject, y: GradedObject,
               coeff: Callable[[int, int], object]) -> GradedMap:
     src = tensor_obj(x, y)
-    tgt = tensor_obj(y, x)
-    zero = field.zero
-    blocks = {}
+    columns = {}
     for n in src.degrees:
-        labels = pair_basis(x, y, n)
         tpos = {lab: r for r, lab in enumerate(pair_basis(y, x, n))}
-        rows = [[zero] * len(labels) for _ in range(tgt.dim(n))]
-        for c, (i, j, a, b) in enumerate(labels):
-            s = coeff(i, j)
-            if s != zero:
-                rows[tpos[(j, i, b, a)]][c] = s
-        blocks[n] = rows
-    return graded_map(field, src, tgt, blocks)
+        columns[n] = [(tpos[(j, i, b, a)], coeff(i, j))
+                      for i, j, a, b in pair_basis(x, y, n)]
+    return monomial_map(field, src, tensor_obj(y, x), columns)
 
 
 def symmetric_braiding() -> StructuralBinary:
@@ -146,13 +139,11 @@ class StructuralUnit:
         key = (field, x)
         got = self._memo.get(key)
         if got is None:
-            blocks = {}
+            columns = {}
             for d, k in x.dims:
                 s = self.scale(field, d)
-                blocks[d] = [
-                    [s if r == c else field.zero for c in range(k)] for r in range(k)
-                ]
-            got = graded_map(field, x, x, blocks)
+                columns[d] = [(r, s) for r in range(k)]
+            got = monomial_map(field, x, x, columns)
             self._memo[key] = got
         return got
 

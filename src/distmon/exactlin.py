@@ -1,8 +1,8 @@
 """Graded vector spaces over an exact field.
 
 Objects are finitely supported degree -> dimension tables over a grading
-monoid; maps are degree-preserving and stored as one exact matrix block
-per degree (absent blocks are zero).  Tensor products fix the basis layout
+monoid; maps are degree-preserving and stored as one exact block per
+degree (absent blocks are zero).  Tensor products fix the basis layout
 once and for all:
 
 * at total degree ``n`` the summands ``X_i (x) Y_j`` are concatenated in
@@ -12,6 +12,15 @@ once and for all:
 With that discipline the associator and the unitors are concrete
 permutation matrices, and every identity in this package is decided by
 entrywise scalar equality.
+
+Every block has one form: a tuple of columns, each a flat tuple
+``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
+The structural maps (associators, unitors, flips, Koszul signs,
+idempotents, characters) are monomial, with at most one entry per
+column, so ``compose``, ``tensor_map`` and map equality cost time in the
+number of nonzero entries.  ``graded_map`` is the constructor that takes
+dense rows; dense rows are made again only by ``GradedMap.block`` and
+``GradedMap.dense_blocks``, for witnesses, reports and ``mat_rank``.
 """
 
 from __future__ import annotations
@@ -67,10 +76,23 @@ MONOIDS = {"trivial": TRIVIAL, "parity": PARITY, "nat": NAT}
 
 @dataclass(frozen=True)
 class GradedObject:
-    """Finitely supported degree -> dimension table (dimensions >= 1)."""
+    """Finitely supported degree -> dimension table (dimensions >= 1).
+
+    ``degrees``, ``total_dim`` and the hash are computed once, at
+    construction.
+    """
 
     monoid: GradingMonoid
     dims: tuple[tuple[int, int], ...]  # sorted by degree
+
+    def __post_init__(self):
+        dims, derived = self.dims, self.__dict__
+        derived["degrees"] = tuple([d for d, _ in dims])
+        derived["total_dim"] = sum([k for _, k in dims])
+        derived["_hash"] = hash((self.monoid.kind, dims))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(monoid: GradingMonoid, dims: Mapping[int, int]) -> "GradedObject":
@@ -88,14 +110,6 @@ class GradedObject:
             if d == degree:
                 return k
         return 0
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(k for _, k in self.dims)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{d}:{k}" for d, k in self.dims)
@@ -182,78 +196,86 @@ def triple_basis_right(x: GradedObject, y: GradedObject, z: GradedObject, n: int
 
 
 # ---------------------------------------------------------------------------
-# exact matrices (tuples of row tuples)
+# column blocks
+#
+# A block is a tuple of columns.  Column c is a flat tuple
+# ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order,
+# so a monomial column is ``(r, v)`` and a zero column is ``()``.  Each
+# nonzero scalar is truthy, which is how the kernels test for zero.
 
 
-def identity_matrix(field, n: int):
-    one, zero = field.one, field.zero
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+_UNIT_COLUMNS: dict = {}
 
 
-def mat_is_zero(m, zero) -> bool:
-    return all(v == zero for row in m for v in row)
+def _units(field, n: int) -> tuple:
+    """The shared columns ``(r, field.one)``, for at least every ``r < n``.
+
+    Keyed by the field, not by ``field.one``: ``Fraction(1)`` and the int
+    ``1`` hash and compare equal.
+    """
+    cols = _UNIT_COLUMNS.get(field, ())
+    if len(cols) < n:
+        one = field.one
+        cols += tuple((r, one) for r in range(len(cols), n))
+        _UNIT_COLUMNS[field] = cols
+    return cols
+
+
+def _from_rows(field, rows, units) -> tuple:
+    """Column block of a dense tuple-of-rows matrix; ``units`` from ``_units``."""
+    one = field.one
+    block = []
+    for values in zip(*rows):
+        col = tuple(x for r, v in enumerate(values) if v for x in (r, v))
+        block.append(units[col[0]] if len(col) == 2 and col[1] is one else col)
+    return tuple(block)
+
+
+def _to_rows(field, block, nrows: int) -> tuple:
+    """Dense tuple-of-rows view of a column block with ``nrows`` rows."""
+    rows = [[field.zero] * len(block) for _ in range(nrows)]
+    for c, col in enumerate(block):
+        it = iter(col)
+        for r, v in zip(it, it):
+            rows[r][c] = v
+    return tuple(tuple(row) for row in rows)
 
 
 def mat_mul(field, a, b):
-    rows_a = len(a)
-    rows_b = len(b)
-    cols_b = len(b[0]) if rows_b else 0
-    zero = field.zero
+    """The block product ``a . b``, one column at a time (Gustavson).
+
+    A column of ``b`` with one entry ``(t, v)`` reuses column ``t`` of ``a``
+    when ``v`` is one and scales it otherwise; longer columns accumulate.
+    """
     one = field.one
     add, mul = field.add, field.mul
     out = []
-    for i in range(rows_a):
-        ai = a[i]
-        acc = [zero] * cols_b
-        for t in range(rows_b):
-            x = ai[t]
-            if x == zero:
-                continue
-            bt = b[t]
-            if x == one:
-                for j in range(cols_b):
-                    y = bt[j]
-                    if y != zero:
-                        acc[j] = add(acc[j], y)
+    for col in b:
+        if len(col) == 2:
+            t, v = col
+            acol = a[t]
+            if v is one or not acol:
+                out.append(acol)
+            elif len(acol) == 2:
+                w = acol[1]
+                out.append((acol[0], v if w is one else mul(w, v)))
             else:
-                for j in range(cols_b):
-                    y = bt[j]
-                    if y != zero:
-                        acc[j] = add(acc[j], mul(x, y))
-        out.append(tuple(acc))
+                out.append(tuple(mul(x, v) if k & 1 else x
+                                 for k, x in enumerate(acol)))
+            continue
+        acc: dict = {}
+        it = iter(col)
+        for t, v in zip(it, it):
+            at = iter(a[t])
+            for r, w in zip(at, at):
+                p = w if v is one else mul(w, v)
+                acc[r] = add(acc[r], p) if r in acc else p
+        out.append(tuple(x for r in sorted(acc) if acc[r] for x in (r, acc[r])))
     return tuple(out)
-
-
-def kron(field, a, b):
-    rows_b = len(b)
-    cols_b = len(b[0]) if rows_b else 0
-    zero, one = field.zero, field.one
-    mul = field.mul
-    out = []
-    for arow in a:
-        for p in range(rows_b):
-            brow = b[p]
-            row: list = []
-            for x in arow:
-                if x == zero:
-                    row.extend([zero] * cols_b)
-                elif x == one:
-                    row.extend(brow)
-                else:
-                    row.extend(mul(x, y) for y in brow)
-            out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_transpose(m):
-    if not m:
-        return ()
-    return tuple(zip(*m))
 
 
 def mat_rank(field, m) -> int:
+    """Rank of a dense tuple-of-rows matrix."""
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -288,10 +310,12 @@ def mat_rank(field, m) -> int:
 
 @dataclass(frozen=True)
 class GradedMap:
-    """Degree-preserving linear map, one block per shared degree.
+    """Degree-preserving linear map, one column block per shared degree.
 
-    Absent blocks denote zero; the constructor below drops all-zero blocks
-    so structural equality of two maps is exact map equality.
+    ``blocks`` is sorted by degree and holds no block without a nonzero
+    entry, so the form is canonical: two maps are equal exactly when their
+    fields, objects and blocks are.  ``block`` and ``dense_blocks`` give
+    dense tuple-of-rows views.
     """
 
     field: object
@@ -300,22 +324,28 @@ class GradedMap:
     blocks: tuple[tuple[int, tuple], ...]
 
     def block(self, degree: int):
+        """Dense rows of the block at ``degree``, or None when it is zero."""
         for d, m in self.blocks:
             if d == degree:
-                return m
+                return _to_rows(self.field, m, self.target.dim(d))
         return None
 
+    def dense_blocks(self) -> tuple:
+        return tuple((d, _to_rows(self.field, m, self.target.dim(d)))
+                     for d, m in self.blocks)
+
     def __str__(self) -> str:
-        parts = ", ".join(f"{d}: {m}" for d, m in self.blocks)
+        parts = ", ".join(f"{d}: {m}" for d, m in self.dense_blocks())
         return f"{self.source} -> {self.target} [{parts}]"
 
 
 def graded_map(field, source: GradedObject, target: GradedObject,
                blocks: Mapping[int, Sequence[Sequence]]) -> GradedMap:
-    """Validating constructor; drops all-zero blocks."""
+    """Validating constructor from dense rows; drops all-zero blocks."""
     if source.monoid != target.monoid:
         raise MonoidMismatch("map endpoints use different grading monoids")
-    clean = []
+    units = _units(field, target.total_dim)
+    clean = {}
     for d, rows in blocks.items():
         m, n = target.dim(d), source.dim(d)
         if m == 0 or n == 0:
@@ -325,17 +355,27 @@ def graded_map(field, source: GradedObject, target: GradedObject,
             raise ObjectMismatch(
                 f"block at degree {d} must have shape {m}x{n}"
             )
-        if not mat_is_zero(mat, field.zero):
-            clean.append((d, mat))
-    return GradedMap(field, source, target, tuple(sorted(clean)))
+        clean[d] = _from_rows(field, mat, units)
+    return _raw_map(field, source, target, clean)
+
+
+def monomial_map(field, source: GradedObject, target: GradedObject,
+                 columns: Mapping[int, Iterable[tuple[int, object]]]) -> GradedMap:
+    """Map whose block at degree ``d`` has the single entry ``(row, value)``
+    of ``columns[d]`` in each column; a zero value leaves the column empty."""
+    one = field.one
+    units = _units(field, target.total_dim)
+    blocks = {}
+    for d, entries in columns.items():
+        blocks[d] = tuple(units[r] if v == one else (r, v) if v else ()
+                          for r, v in entries)
+    return _raw_map(field, source, target, blocks)
 
 
 def _raw_map(field, source, target, blocks: dict) -> GradedMap:
-    """Fast internal constructor: blocks already shaped, zeros dropped here."""
-    clean = tuple(
-        sorted((d, m) for d, m in blocks.items() if not mat_is_zero(m, field.zero))
-    )
-    return GradedMap(field, source, target, clean)
+    """Internal constructor from canonical column blocks; drops empty ones."""
+    return GradedMap(field, source, target,
+                     tuple(sorted((d, m) for d, m in blocks.items() if any(m))))
 
 
 def zero_map(field, source: GradedObject, target: GradedObject) -> GradedMap:
@@ -344,113 +384,173 @@ def zero_map(field, source: GradedObject, target: GradedObject) -> GradedMap:
     return GradedMap(field, source, target, ())
 
 
+def _identity_blocks(field, x: GradedObject) -> tuple:
+    units = _units(field, max((k for _, k in x.dims), default=0))
+    return tuple((d, units[:k]) for d, k in x.dims)
+
+
 def identity(field, x: GradedObject) -> GradedMap:
-    blocks = {d: identity_matrix(field, k) for d, k in x.dims}
-    return GradedMap(field, x, x, tuple(sorted(blocks.items())))
+    return GradedMap(field, x, x, _identity_blocks(field, x))
 
 
 def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     """g after f."""
-    if f.field != g.field:
+    if f.field is not g.field and f.field != g.field:
         raise ObjectMismatch("cannot compose maps over different fields")
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise ObjectMismatch(
             f"compose: inner objects differ ({f.target} vs {g.source})"
         )
     fb = dict(f.blocks)
     out = {}
     for d, gb in g.blocks:
-        if d in fb:
-            out[d] = mat_mul(g.field, gb, fb[d])
+        b = fb.get(d)
+        if b is not None:
+            out[d] = mat_mul(g.field, gb, b)
     return _raw_map(g.field, f.source, g.target, out)
 
 
+def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> GradedMap:
+    """``f`` with its grading forgotten: its blocks laid along the diagonal of
+    one degree-0 block ``source -> target``, in ascending degree order.
+
+    ``source`` and ``target`` carry the total dimensions of ``f``'s objects.
+    """
+    fb = dict(f.blocks)
+    starts, off = {}, 0
+    for d, k in f.target.dims:
+        starts[d] = off
+        off += k
+    cols: list = []
+    for d, k in f.source.dims:
+        block = fb.get(d)
+        if block is None:
+            cols += [()] * k
+            continue
+        r0 = starts[d]
+        cols += [tuple(v if p & 1 else v + r0 for p, v in enumerate(col))
+                 for col in block]
+    return _raw_map(f.field, source, target, {0: tuple(cols)})
+
+
+def _summand_offsets(x: GradedObject, y: GradedObject) -> dict:
+    """(i, j) -> (i + j, offset of the summand X_i (x) Y_j in its degree).
+
+    Walking i, then j, in ascending order visits the summands of each degree
+    in ascending i, which is the layout order of ``pair_summands``.
+    """
+    add = x.monoid.add
+    ends: dict = {}
+    out = {}
+    for i, a in x.dims:
+        for j, b in y.dims:
+            n = add(i, j)
+            off = ends.get(n, 0)
+            out[(i, j)] = (n, off)
+            ends[n] = off + a * b
+    return out
+
+
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
-    if f.field != g.field:
+    """f (x) g, built summand by summand from products of columns."""
+    if f.field is not g.field and f.field != g.field:
         raise ObjectMismatch("cannot tensor maps over different fields")
-    if f.source.monoid != g.source.monoid:
+    if f.source.monoid is not g.source.monoid and f.source.monoid != g.source.monoid:
         raise MonoidMismatch("cannot tensor maps over different grading monoids")
     field = f.field
+    one, mul = field.one, field.mul
     src = tensor_obj(f.source, g.source)
     tgt = tensor_obj(f.target, g.target)
-    fb, gb = dict(f.blocks), dict(g.blocks)
-    zero = field.zero
-    out = {}
-    for n in src.degrees:
-        tdim = tgt.dim(n)
-        if tdim == 0:
-            continue
-        src_pairs = pair_summands(f.source, g.source, n)
-        tgt_pairs = pair_summands(f.target, g.target, n)
-        col_off = {}
-        off = 0
-        for i, j in src_pairs:
-            col_off[(i, j)] = off
-            off += f.source.dim(i) * g.source.dim(j)
-        row_off = {}
-        off = 0
-        for i, j in tgt_pairs:
-            row_off[(i, j)] = off
-            off += f.target.dim(i) * g.target.dim(j)
-        rows = [[zero] * src.dim(n) for _ in range(tdim)]
-        for i, j in src_pairs:
-            if (i, j) not in row_off:
-                continue
-            a, b = fb.get(i), gb.get(j)
-            if a is None or b is None:
-                continue
-            kr = kron(field, a, b)
-            r0, c0 = row_off[(i, j)], col_off[(i, j)]
-            for r, krow in enumerate(kr):
-                row = rows[r0 + r]
-                for c, v in enumerate(krow):
-                    if v != zero:
-                        row[c0 + c] = v
-        out[n] = tuple(tuple(r) for r in rows)
-    return _raw_map(field, src, tgt, out)
-
-
-def _permutation_map(field, source, target, send: Callable[[int, Label], Label],
-                     source_labels, target_labels) -> GradedMap:
-    """Build the permutation map sending each source basis label through `send`."""
-    zero, one = field.zero, field.one
-    out = {}
-    for n in source.degrees:
-        src = source_labels(n)
-        tpos = {lab: r for r, lab in enumerate(target_labels(n))}
-        rows = [[zero] * len(src) for _ in range(target.dim(n))]
-        for c, lab in enumerate(src):
-            rows[tpos[send(n, lab)]][c] = one
-        out[n] = tuple(tuple(r) for r in rows)
-    return _raw_map(field, source, target, out)
+    col_off = _summand_offsets(f.source, g.source)
+    row_off = _summand_offsets(f.target, g.target)
+    units = _units(field, tgt.total_dim)
+    out: dict = {}
+    for i, a in f.blocks:
+        for j, b in g.blocks:
+            n, c = col_off[(i, j)]
+            r0 = row_off[(i, j)][1]
+            height = g.target.dim(j)
+            cols = out.get(n)
+            if cols is None:
+                cols = out[n] = [()] * src.dim(n)
+            for acol in a:
+                if not acol:
+                    c += len(b)
+                    continue
+                for bcol in b:
+                    if len(acol) == 2 and len(bcol) == 2:
+                        row = r0 + acol[0] * height + bcol[0]
+                        v, w = acol[1], bcol[1]
+                        if v is one:
+                            cols[c] = units[row] if w is one else (row, w)
+                        else:
+                            cols[c] = (row, v if w is one else mul(v, w))
+                    elif bcol:
+                        col = []
+                        ai = iter(acol)
+                        for r, v in zip(ai, ai):
+                            r = r0 + r * height
+                            bi = iter(bcol)
+                            for s, w in zip(bi, bi):
+                                col += (r + s, mul(v, w))
+                        cols[c] = tuple(col)
+                    c += 1
+    return _raw_map(field, src, tgt, {n: tuple(cols) for n, cols in out.items()})
 
 
 @cache
 def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> GradedMap:
-    """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a permutation at each degree."""
-    left = tensor_obj(tensor_obj(x, y), z)
-    right = tensor_obj(x, tensor_obj(y, z))
-    return _permutation_map(
-        field, left, right,
-        lambda n, lab: lab,
-        lambda n: triple_basis_left(x, y, z, n),
-        lambda n: triple_basis_right(x, y, z, n),
-    )
+    """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a permutation at each degree.
+
+    The basis vector (i, j, k, a, b, c) sits at column
+    ``s0 + (p0 + a dy + b) dz + c`` of the source layout and at row
+    ``t0 + a dyz + q0 + b dz + c`` of the target layout, where the offsets
+    ``s0, p0, t0, q0`` place its summands (see ``triple_basis_left`` and
+    ``triple_basis_right`` for the same layouts as label lists).
+    """
+    xy, yz = tensor_obj(x, y), tensor_obj(y, z)
+    src, tgt = tensor_obj(xy, z), tensor_obj(x, yz)
+    outer_l, inner_l = _summand_offsets(xy, z), _summand_offsets(x, y)
+    outer_r, inner_r = _summand_offsets(x, yz), _summand_offsets(y, z)
+    rows = {n: [0] * k for n, k in src.dims}
+    for (i, j), (m, p0) in inner_l.items():
+        dx, dy = x.dim(i), y.dim(j)
+        for k, dz in z.dims:
+            n, s0 = outer_l[(m, k)]
+            mr, q0 = inner_r[(j, k)]
+            t0 = outer_r[(i, mr)][1]
+            dyz = yz.dim(mr)
+            perm = rows[n]
+            for a in range(dx):
+                for b in range(dy):
+                    col = s0 + (p0 + a * dy + b) * dz
+                    row = t0 + a * dyz + q0 + b * dz
+                    for c in range(dz):
+                        perm[col + c] = row + c
+    units = _units(field, tgt.total_dim)
+    return GradedMap(field, src, tgt, tuple(
+        (n, tuple(units[r] for r in perm)) for n, perm in rows.items()))
 
 
 @cache
 def associator_inv(field, x: GradedObject, y: GradedObject, z: GradedObject) -> GradedMap:
+    """The inverse permutation, i.e. the transpose of ``associator``."""
     a = associator(field, x, y, z)
-    blocks = {d: mat_transpose(m) for d, m in a.blocks}
-    return _raw_map(field, a.target, a.source, blocks)
+    units = _units(field, a.source.total_dim)
+    blocks = []
+    for n, block in a.blocks:
+        inv = [None] * len(block)
+        for c, (r, _) in enumerate(block):
+            inv[r] = units[c]
+        blocks.append((n, tuple(inv)))
+    return GradedMap(field, a.target, a.source, tuple(blocks))
 
 
 @cache
 def left_unitor(field, x: GradedObject) -> GradedMap:
     """I (x) X -> X (identity permutation in this layout)."""
     src = tensor_obj(unit_object(x.monoid), x)
-    blocks = {d: identity_matrix(field, k) for d, k in x.dims}
-    return GradedMap(field, src, x, tuple(sorted(blocks.items())))
+    return GradedMap(field, src, x, _identity_blocks(field, x))
 
 
 @cache
@@ -463,8 +563,7 @@ def left_unitor_inv(field, x: GradedObject) -> GradedMap:
 def right_unitor(field, x: GradedObject) -> GradedMap:
     """X (x) I -> X (identity permutation in this layout)."""
     src = tensor_obj(x, unit_object(x.monoid))
-    blocks = {d: identity_matrix(field, k) for d, k in x.dims}
-    return GradedMap(field, src, x, tuple(sorted(blocks.items())))
+    return GradedMap(field, src, x, _identity_blocks(field, x))
 
 
 @cache

@@ -276,10 +276,13 @@ def _units(doc, field) -> list[tuple[Optional[str], object]]:
         return [(None, _unit(spec, "lambda", field))]
     _expect(bool(spec), "lambda", "must not be an empty list")
     out = []
+    names = set()
     for idx, item in enumerate(spec):
         key = f"lambda[{idx}]"
         unit = _unit(item, key, field)
         name = _name(item, key)
+        _expect(name not in names, "lambda", "names must be unique")
+        names.add(name)
         out.append((f"lambda={name}" if len(spec) > 1 else None, unit))
     return out
 
@@ -615,7 +618,7 @@ def _object_doc(obj: GradedObject) -> dict:
 def _blocks_doc(field, graded) -> dict:
     return {
         str(d): [[field.fmt(v) for v in row] for row in block]
-        for d, block in graded.blocks
+        for d, block in graded.dense_blocks()
     }
 
 

@@ -27,8 +27,8 @@ from typing import Callable
 
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, TRIVIAL, associator, compose, graded_map,
-    identity, identity_matrix, left_unitor, pair_basis, pair_decoder,
+    GradedMap, GradedObject, TRIVIAL, associator, collapse_map, compose,
+    identity, left_unitor, monomial_map, pair_basis, pair_decoder,
     right_unitor, sort_universe, tensor_map, tensor_obj,
     triple_decoder_left, unit_object, zero_map,
 )
@@ -74,20 +74,19 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
     field = ds.field
 
     def obj(x: GradedObject) -> GradedObject:
+        if not x.dims or x.dims[-1][0] <= bound:
+            return x
         return GradedObject(x.monoid, tuple((d, k) for d, k in x.dims if d <= bound))
 
     def mor(f: GradedMap) -> GradedMap:
-        blocks = {d: m for d, m in f.blocks if d <= bound}
-        return graded_map(field, obj(f.source), obj(f.target), blocks)
+        blocks = tuple((d, m) for d, m in f.blocks if d <= bound)
+        return GradedMap(field, obj(f.source), obj(f.target), blocks)
 
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
         src = tensor_obj(obj(x), obj(y))
-        tgt = obj(tensor_obj(x, y))
-        blocks = {}
-        for d in src.degrees:
-            if d <= bound:
-                blocks[d] = identity_matrix(field, src.dim(d))
-        return graded_map(field, src, tgt, blocks)
+        blocks = identity(field, src).blocks
+        return GradedMap(field, src, obj(tensor_obj(x, y)),
+                         tuple((d, m) for d, m in blocks if d <= bound))
 
     return LaxFunctor(
         name=f"tau{bound}",
@@ -125,19 +124,7 @@ def collapse_functor(ds: DistortedStructure,
         return pos
 
     def mor(f: GradedMap) -> GradedMap:
-        src, tgt = obj(f.source), obj(f.target)
-        if src.total_dim == 0 or tgt.total_dim == 0:
-            return zero_map(field, src, tgt)
-        zero = field.zero
-        rows = [[zero] * src.total_dim for _ in range(tgt.total_dim)]
-        spos, tpos = _positions(f.source), _positions(f.target)
-        for d, block in f.blocks:
-            r0, c0 = tpos[(d, 0)], spos[(d, 0)]
-            for r, row in enumerate(block):
-                for c, v in enumerate(row):
-                    if v != zero:
-                        rows[r0 + r][c0 + c] = v
-        return graded_map(field, src, tgt, {0: rows})
+        return collapse_map(f, obj(f.source), obj(f.target))
 
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
         src = tensor_obj(obj(x), obj(y))
@@ -146,19 +133,15 @@ def collapse_functor(ds: DistortedStructure,
         if src.total_dim == 0:
             return zero_map(field, src, tgt)
         xpos, ypos = _positions(x), _positions(y)
-        dy = y.total_dim
         tpos = {}
         p = 0
         for n in xy.degrees:
             for lab in pair_basis(x, y, n):
                 tpos[lab] = p
                 p += 1
-        zero, one = field.zero, field.one
-        rows = [[zero] * src.total_dim for _ in range(tgt.total_dim)]
-        for (i, a), px in xpos.items():
-            for (j, b), py in ypos.items():
-                rows[tpos[(i, j, a, b)]][px * dy + py] = one
-        return graded_map(field, src, tgt, {0: rows})
+        one = field.one
+        column = [(tpos[(i, j, a, b)], one) for i, a in xpos for j, b in ypos]
+        return monomial_map(field, src, tgt, {0: column})
 
     if target is None:
         images = [obj(x) for x in ds.universe] + [unit_object(TRIVIAL)]

@@ -64,10 +64,15 @@ def first_difference(left, right):
     """First entry where two parallel maps disagree.
 
     Returns ``(degree, row, col, left_value, right_value)`` or ``None``;
-    absent blocks are compared as all-zero.
+    absent blocks are compared as all-zero.  Block forms are canonical, so
+    equal blocks mean equal maps; only maps that differ are scanned, densely
+    and row-major.
     """
-    if left.source != right.source or left.target != right.target:
+    if (left.source is not right.source and left.source != right.source) or \
+            (left.target is not right.target and left.target != right.target):
         raise AssertionError("first_difference on non-parallel maps")
+    if left.blocks == right.blocks:
+        return None
     zero = left.field.zero
     degrees = sorted({d for d, _ in left.blocks} | {d for d, _ in right.blocks})
     for d in degrees:

@@ -18,7 +18,7 @@ found without luck.
 
 from __future__ import annotations
 
-from .exactlin import GradedMap, GradedObject, graded_map, zero_map
+from .exactlin import GradedMap, GradedObject, graded_map, monomial_map, zero_map
 from .reports import CheckBudget
 
 _MASK = (1 << 64) - 1
@@ -78,15 +78,12 @@ def structured_maps(field, source: GradedObject, target: GradedObject) -> list[G
         m, n = target.dim(d), source.dim(d)
         if m == 0:
             continue
-        diag[d] = [[one if r == c else zero for c in range(n)] for r in range(m)]
-        rev[d] = [
-            [one if c == n - 1 - r and r < min(m, n) else zero for c in range(n)]
-            for r in range(m)
-        ]
+        diag[d] = [(c, one if c < m else zero) for c in range(n)]
+        rev[d] = [(n - 1 - c, one if n - 1 - c < m else zero) for c in range(n)]
     return [
         zero_map(field, source, target),
-        graded_map(field, source, target, diag),
-        graded_map(field, source, target, rev),
+        monomial_map(field, source, target, diag),
+        monomial_map(field, source, target, rev),
     ]
 
 

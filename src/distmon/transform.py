@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 from .errors import StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, compose, graded_map, identity, identity_matrix,
-    pair_decoder, tensor_map, tensor_obj,
+    GradedMap, GradedObject, compose, identity, monomial_map, pair_decoder,
+    tensor_map, tensor_obj,
 )
 from .laxfun import LaxFunctor, compose_lax, identity_functor
 from .reports import (
@@ -59,9 +59,8 @@ def projection_transformation(f_from: LaxFunctor, f_to: LaxFunctor) -> MonNatTra
     field = f_from.target.field
 
     def component(x: GradedObject) -> GradedMap:
-        src, tgt = f_from.obj(x), f_to.obj(x)
-        blocks = {d: identity_matrix(field, k) for d, k in tgt.dims}
-        return graded_map(field, src, tgt, blocks)
+        tgt = f_to.obj(x)
+        return GradedMap(field, f_from.obj(x), tgt, identity(field, tgt).blocks)
 
     return MonNatTrans(
         name=f"pi[{large}->{small}]",
@@ -78,11 +77,8 @@ def scalar_transformation(func: LaxFunctor, c) -> MonNatTrans:
 
     def component(x: GradedObject) -> GradedMap:
         fx = func.obj(x)
-        blocks = {
-            d: [[c if r == q else field.zero for q in range(k)] for r in range(k)]
-            for d, k in fx.dims
-        }
-        return graded_map(field, fx, fx, blocks)
+        return monomial_map(field, fx, fx,
+                            {d: [(r, c) for r in range(k)] for d, k in fx.dims})
 
     return MonNatTrans(f"scalar[{field.fmt(c)}]", func, func, component)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import MonoidMismatch, ObjectMismatch
 from .exactlin import (
     GradedMap, GradedObject, associator, associator_inv, compose,
-    graded_map, identity, mat_rank, pair_basis, pair_decoder, sort_universe,
+    identity, mat_rank, monomial_map, pair_basis, pair_decoder, sort_universe,
     tensor_map, tensor_obj, triple_decoder_left, triple_decoder_right,
     unit_object,
 )
@@ -78,15 +78,12 @@ class StructuralIdempotent:
         got = self._memo.get(key)
         if got is None:
             xy = tensor_obj(x, y)
-            zero = field.zero
-            blocks = {}
-            for n in xy.degrees:
-                labels = pair_basis(x, y, n)
-                rows = [[zero] * len(labels) for _ in labels]
-                for c, (i, j, _, _) in enumerate(labels):
-                    rows[c][c] = self.coefficient(field, i, j)
-                blocks[n] = rows
-            got = graded_map(field, xy, xy, blocks)
+            columns = {
+                n: [(c, self.coefficient(field, i, j))
+                    for c, (i, j, _, _) in enumerate(pair_basis(x, y, n))]
+                for n in xy.degrees
+            }
+            got = monomial_map(field, xy, xy, columns)
             self._memo[key] = got
         return got
 

@@ -1,0 +1,246 @@
+"""The column-block kernels against a dense reference kept here.
+
+Maps are drawn dense, monomial (at most one entry per column) or with
+explicit all-zero blocks, over Q and over F_2147483647.  Every kernel
+result must equal the dense reference and must be stored canonically:
+columns list their nonzero entries in ascending row order, and no block
+without a nonzero entry is kept.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from distmon import (
+    NAT, PARITY, TRIVIAL, GradedObject, PrimeField, associator, associator_inv,
+    collapse_map, compose, graded_map, identity, pair_basis, tensor_map,
+    tensor_obj, triple_basis_left, triple_basis_right,
+)
+from distmon.fields import RATIONAL
+from distmon.reports import first_difference
+
+from conftest import object_strategy
+
+FP = PrimeField(2147483647)
+FIELDS = [RATIONAL, FP]
+
+
+def palette(field):
+    """Scalars drawn for entries; ``one`` also appears as an equal but
+    distinct object, so both the shared and the computed one are seen."""
+    if field is RATIONAL:
+        return [Fraction(0), Fraction(1), Fraction(3, 3), Fraction(-1),
+                Fraction(2), Fraction(1, 2)]
+    return [0, 1, field.p - 1, 2, (field.p + 1) // 2]
+
+
+# ---------------------------------------------------------------------------
+# dense reference (dicts degree -> list of rows; absent means zero)
+
+
+def dense(m):
+    return {d: [list(row) for row in rows] for d, rows in m.dense_blocks()}
+
+
+def zero_rows(field, nrows, ncols):
+    return [[field.zero] * ncols for _ in range(nrows)]
+
+
+def drop_zero(field, blocks):
+    return {d: rows for d, rows in blocks.items()
+            if any(v != field.zero for row in rows for v in row)}
+
+
+def ref_mul(field, a, b):
+    return [[sum_(field, [field.mul(a[r][t], b[t][c]) for t in range(len(b))])
+             for c in range(len(b[0]))] for r in range(len(a))]
+
+
+def sum_(field, values):
+    total = field.zero
+    for v in values:
+        total = field.add(total, v)
+    return total
+
+
+def ref_compose(field, g, f):
+    gd, fd = dense(g), dense(f)
+    return drop_zero(field, {d: ref_mul(field, gd[d], fd[d]) for d in gd if d in fd})
+
+
+def ref_tensor(field, f, g):
+    """Entry (i, j, a', b') x (i, j, a, b) of f (x) g is f_i[a'][a] g_j[b'][b]."""
+    fd, gd = dense(f), dense(g)
+    out = {}
+    for n in tensor_obj(f.source, g.source).degrees:
+        cols = pair_basis(f.source, g.source, n)
+        rows = pair_basis(f.target, g.target, n)
+        block = zero_rows(field, len(rows), len(cols))
+        for r, (i, j, ap, bp) in enumerate(rows):
+            for c, (ic, jc, a, b) in enumerate(cols):
+                if (i, j) == (ic, jc) and i in fd and j in gd:
+                    block[r][c] = field.mul(fd[i][ap][a], gd[j][bp][b])
+        out[n] = block
+    return drop_zero(field, out)
+
+
+def ref_associator(field, x, y, z):
+    out = {}
+    for n in tensor_obj(tensor_obj(x, y), z).degrees:
+        cols = triple_basis_left(x, y, z, n)
+        rows = triple_basis_right(x, y, z, n)
+        out[n] = [[field.one if lab == col else field.zero for col in cols]
+                  for lab in rows]
+    return out
+
+
+def ref_first_difference(field, left, right):
+    ld, rd = dense(left), dense(right)
+    for d in sorted(set(ld) | set(rd)):
+        nrows, ncols = left.target.dim(d), left.source.dim(d)
+        lb = ld.get(d, zero_rows(field, nrows, ncols))
+        rb = rd.get(d, zero_rows(field, nrows, ncols))
+        for r in range(nrows):
+            for c in range(ncols):
+                if lb[r][c] != rb[r][c]:
+                    return (d, r, c, lb[r][c], rb[r][c])
+    return None
+
+
+def assert_canonical(m):
+    degrees = [d for d, _ in m.blocks]
+    assert degrees == sorted(set(degrees))
+    for d, block in m.blocks:
+        assert len(block) == m.source.dim(d) and m.target.dim(d) > 0
+        assert any(block), "an empty block is stored"
+        for col in block:
+            assert len(col) % 2 == 0
+            rows, values = col[0::2], col[1::2]
+            assert list(rows) == sorted(set(rows))
+            assert all(0 <= r < m.target.dim(d) for r in rows)
+            assert all(v != m.field.zero for v in values)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def graded_maps(draw, field, src, tgt):
+    """A map src -> tgt drawn dense, monomial or with explicit zero blocks."""
+    kind = draw(st.sampled_from(["dense", "monomial", "zero_blocks"]))
+    values = palette(field)
+    nonzero = [v for v in values if v != field.zero]
+    blocks = {}
+    for d in src.degrees:
+        m, n = tgt.dim(d), src.dim(d)
+        if m == 0:
+            continue
+        if kind == "zero_blocks" and draw(st.booleans()):
+            blocks[d] = zero_rows(field, m, n)
+        elif kind == "dense":
+            blocks[d] = [[draw(st.sampled_from(values)) for _ in range(n)]
+                         for _ in range(m)]
+        else:
+            rows = zero_rows(field, m, n)
+            for c in range(n):
+                r = draw(st.one_of(st.none(), st.integers(0, m - 1)))
+                if r is not None:
+                    rows[r][c] = draw(st.sampled_from(nonzero))
+            blocks[d] = rows
+    return graded_map(field, src, tgt, blocks)
+
+
+monoids = st.sampled_from([NAT, PARITY])
+
+
+def objects(draw, monoid, count):
+    return [draw(object_strategy(monoid, max_degree=2, max_dim=2, max_support=2))
+            for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_compose_matches_dense_product(data, field, monoid):
+    x, y, z = objects(data.draw, monoid, 3)
+    f = data.draw(graded_maps(field, x, y))
+    g = data.draw(graded_maps(field, y, z))
+    got = compose(g, f)
+    assert_canonical(f)
+    assert_canonical(got)
+    assert dense(got) == ref_compose(field, g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_tensor_map_matches_dense_layout(data, field, monoid):
+    x, xp, y, yp = objects(data.draw, monoid, 4)
+    f = data.draw(graded_maps(field, x, xp))
+    g = data.draw(graded_maps(field, y, yp))
+    got = tensor_map(f, g)
+    assert_canonical(got)
+    assert dense(got) == ref_tensor(field, f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_structural_maps_match_dense_reference(data, field, monoid):
+    x, y, z = objects(data.draw, monoid, 3)
+    ident = identity(field, x)
+    assert_canonical(ident)
+    assert dense(ident) == {d: [[field.one if r == c else field.zero
+                                 for c in range(k)] for r in range(k)]
+                            for d, k in x.dims}
+    a, a_inv = associator(field, x, y, z), associator_inv(field, x, y, z)
+    assert_canonical(a)
+    assert_canonical(a_inv)
+    ref = ref_associator(field, x, y, z)
+    assert dense(a) == ref
+    assert dense(a_inv) == {d: [list(col) for col in zip(*rows)]
+                            for d, rows in ref.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_first_difference_matches_dense_scan(data, field, monoid):
+    x, y = objects(data.draw, monoid, 2)
+    left = data.draw(graded_maps(field, x, y))
+    how = data.draw(st.sampled_from(["rebuilt", "perturbed", "drawn"]))
+    if how == "drawn":
+        right = data.draw(graded_maps(field, x, y))
+    else:
+        blocks = {d: [list(row) for row in rows]
+                  for d, rows in dense(left).items()}
+        if how == "perturbed" and blocks:
+            d = data.draw(st.sampled_from(sorted(blocks)))
+            r = data.draw(st.integers(0, len(blocks[d]) - 1))
+            c = data.draw(st.integers(0, len(blocks[d][0]) - 1))
+            blocks[d][r][c] = field.add(blocks[d][r][c], field.one)
+        right = graded_map(field, x, y, blocks)
+    assert first_difference(left, right) == ref_first_difference(field, left, right)
+    assert first_difference(right, right) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_collapse_map_lays_blocks_along_the_diagonal(data, field, monoid):
+    x, y = objects(data.draw, monoid, 2)
+    f = data.draw(graded_maps(field, x, y))
+    src = GradedObject(TRIVIAL, ((0, x.total_dim),))
+    tgt = GradedObject(TRIVIAL, ((0, y.total_dim),))
+    got = collapse_map(f, src, tgt)
+    assert_canonical(got)
+    block = zero_rows(field, y.total_dim, x.total_dim)
+    fd = dense(f)
+    r0 = c0 = 0
+    for d in sorted(set(x.degrees) | set(y.degrees)):
+        for r, row in enumerate(fd.get(d, [])):
+            for c, v in enumerate(row):
+                block[r0 + r][c0 + c] = v
+        r0, c0 = r0 + y.dim(d), c0 + x.dim(d)
+    assert dense(got) == drop_zero(field, {0: block})

@@ -153,7 +153,7 @@ def test_D1_scaled_entry_fails_with_pair_witness():
     fam.entries[(x, x)] = graded_map(
         Q, bad.source, bad.target,
         {d: [[Q.mul(Fraction(2), v) for v in row] for row in m]
-         for d, m in bad.blocks})
+         for d, m in bad.dense_blocks()})
     rep = check_D1(parity_ds(fam), BUDGET)
     assert rep.verdict == "fail"
     assert rep.witness.objects[:2] == (x, x) or (x, x) == rep.witness.objects[2:]

@@ -23,7 +23,7 @@ from conftest import Q, map_strategy, obj, object_strategy, qmap
 
 def test_identity_on_unit():
     x = obj(NAT, {0: 1})
-    assert identity(Q, x).blocks == ((0, ((Fraction(1),),)),)
+    assert identity(Q, x).dense_blocks() == ((0, ((Fraction(1),),)),)
 
 
 def test_identity_shapes():
@@ -157,7 +157,7 @@ def test_tensor_map_functorial(data):
 def test_associator_single_basis_triple():
     x = obj(NAT, {1: 1})
     a = associator(Q, x, x, x)
-    assert a.blocks == ((3, ((Fraction(1),),)),)
+    assert a.dense_blocks() == ((3, ((Fraction(1),),)),)
 
 
 def _oracle_degree2_permutation():
@@ -323,7 +323,7 @@ def test_check_base_corrupted_associator():
             return a
         blocks = {
             d: [[field.mul(Fraction(2), v) for v in row] for row in m]
-            for d, m in a.blocks
+            for d, m in a.dense_blocks()
         }
         return graded_map(field, a.source, a.target, blocks)
 

@@ -30,7 +30,7 @@ def nat_ds(lam=None, sigma=None):
 def scaled(field, m, factor):
     return graded_map(field, m.source, m.target, {
         d: [[field.mul(factor, v) for v in row] for row in block]
-        for d, block in m.blocks
+        for d, block in m.dense_blocks()
     })
 
 

@@ -11,6 +11,7 @@ import json
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from distmon import (
-    MONOIDS, DistortedStructure, builtin_examples, cli, emit_report,
+    MONOIDS, NAT, DistortedStructure, GradedObject, associator,
+    builtin_examples, check_base, cli, emit_report, graded_map,
     run_examples, run_suite, scenario_from_dict,
 )
 from distmon.errors import ValidationError
@@ -85,6 +87,9 @@ KEYED_ERRORS = [
         interchange_quadruples=[["theta", "theta", "theta", "theta"]],
         checks=["interchange"])),
     ("closure_depth", nat_doc(closure_depth=2)),
+    ("lambda", nat_doc(**{"lambda": [{"name": "a", "kind": "identity"},
+                                     {"name": "a", "kind": "character", "t": "2"}]},
+                       checks=["D2"])),
 ]
 
 
@@ -95,6 +100,29 @@ def test_cli_reports_the_key_of_a_construction_error(key, doc):
     assert out == ""
     assert err.startswith(f"error: {key}: ")
     assert ERROR_LINE.match(err)
+
+
+FILE_ERRORS = [
+    ("missing", None, "error: cannot read scenario file: "),
+    ("invalid-json", b'{"field": ', "error: scenario file is not valid JSON: "),
+    ("utf16-bom", b"\xff\xfe{}", "error: scenario file is not valid JSON: "),
+]
+
+
+@pytest.mark.parametrize("content,prefix", [(c, p) for _, c, p in FILE_ERRORS],
+                         ids=[name for name, _, _ in FILE_ERRORS])
+def test_cli_reports_unreadable_files_on_one_keyless_line(tmp_path, content, prefix):
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["check", "--scenario", str(path)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(prefix)
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_composable_rows_are_accepted():
@@ -192,6 +220,62 @@ def test_examples_report_bytes_are_pinned():
         "40835d2dfa7f1697ea7579b19c7f05bfad670ba2686a48b75a275fff8f50a608"
     assert hashlib.sha256(js.encode()).hexdigest() == \
         "53d62be17e673aabd22ed5c6a228fe8b42ec06a1e6390bd7abd84dfecc3f3f8d"
+
+
+def _digests(scenario, reports):
+    return tuple(hashlib.sha256(emit_report(scenario, reports, fmt).encode()).hexdigest()
+                 for fmt in ("text", "json"))
+
+
+PINNED_SCENARIOS = [
+    ("hexagon-A", {
+        "field": "rational", "grading": "nat",
+        "universe": {"max_degree": 2, "max_dim": 1, "max_support": 2},
+        "sigma": {"kind": "symmetric"}, "lambda": {"kind": "character", "t": "2"},
+        "checks": ["base", "D3", "D4", "lambda_sigma"], "seed": 0},
+     ("9ce90c78a79fae782d47d419de8977deda3b804b349f80f89d194a44c81c3027",
+      "a4dd54865202ccc7bc5f11e6cb941dcd2b9cd0e681cd6305751c100805e3c41f")),
+    ("hexagon-B", {
+        "field": "rational", "grading": "parity",
+        "universe": {"max_degree": 1, "max_dim": 1, "max_support": 2},
+        "braiding": {"kind": "koszul"}, "idempotent": {"kind": "parity_projector"},
+        "checks": ["E2L_cocycle", "E2R_cocycle", "E2L", "E2R", "BL", "BR"],
+        "seed": 0},
+     ("fe8a3f14c94b82becba6de34465461f53f8aefd591c05ebfd053a3739b4f6ecc",
+      "47af48102ef72b321c0346602a79a139cd1cb6a364a1f19805beddab7bc93b21")),
+]
+
+
+@pytest.mark.parametrize("doc,pins", [(d, p) for _, d, p in PINNED_SCENARIOS],
+                         ids=[name for name, _, _ in PINNED_SCENARIOS])
+def test_scenario_report_bytes_are_pinned(doc, pins):
+    scenario = scenario_from_dict(doc)
+    assert _digests(scenario, run_suite(scenario)) == pins
+
+
+def test_corrupted_associator_report_bytes_are_pinned():
+    scenario = scenario_from_dict({
+        "field": "rational", "grading": "nat",
+        "universe": {"max_degree": 1, "max_dim": 2, "max_support": 2},
+        "checks": ["base"], "seed": 0})
+    bad = GradedObject.of(NAT, {0: 1, 1: 2})
+
+    def corrupt(field, x, y, z):
+        a = associator(field, x, y, z)
+        if (x, y, z) != (bad, bad, bad):
+            return a
+        blocks = {d: [list(row) for row in m] for d, m in a.dense_blocks()}
+        rows = blocks[2]
+        rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
+        rows[4][5] = Fraction(-3)
+        return graded_map(field, a.source, a.target, blocks)
+
+    report = check_base(scenario.field, scenario.universe, scenario.budget,
+                        assoc=corrupt)
+    assert report.verdict == "fail" and report.witness.row == 4
+    assert _digests(scenario, [report]) == (
+        "db6a19554a1e2eb2c9f1ee243cce3e5339140ade1132898504ef15d869d9cb35",
+        "88aab4e265ea1d60792f441b7a43b3b8c9ef73de72f5eb3aa3fbadf570409273")
 
 
 def test_run_and_report_build_no_structure(monkeypatch):

@@ -241,7 +241,7 @@ def _corrupt_at(cell, target_obj):
             return m
         blocks = {
             d: [[Q.mul(Fraction(2), v) for v in row] for row in block]
-            for d, block in m.blocks
+            for d, block in m.dense_blocks()
         }
         return graded_map(Q, m.source, m.target, blocks)
     return replace(cell, component=component)
