@@ -8,9 +8,13 @@ object an endomorphism acting degreewise by scalars.
 
 Checkers decide the four structure axioms by exact matrix equality:
 binaturality, unit normalization, both typed hexagons, and
-multiplicativity of the unit family.  Structural binary families are
-binatural blockwise by construction; the checkers still sample morphisms
-as a cross-check and say so in the coverage note.
+multiplicativity of the unit family.  Each states its quantifiers as
+``reports.Phase``s and leaves enumeration, caps, counts and witnesses to
+``reports.decide``.  Structural binary families are binatural blockwise by
+construction; the checkers still sample morphisms as a cross-check and say
+so in the coverage note.  The scalar route reduces D3 and the twist axioms
+of structural data to per-degree-triple scalar identities that never
+touch a matrix; it cross-checks every tuple the matrices decide.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .exactlin import (
     tensor_obj, triple_decoder_left, triple_decoder_right, unit_object,
 )
 from .reports import (
-    CheckBudget, CheckReport, Coverage, equality_witness, failed, passed,
+    CheckBudget, CheckReport, Phase, Side, decide, equality_witness,
 )
 from .sampling import map_batch
 
@@ -215,41 +219,81 @@ class DistortedStructure:
 
 
 # ---------------------------------------------------------------------------
-# shared binaturality machinery (used by D1 and by idempotent E0)
+# shared binaturality quantifier (used by D1 and by idempotent E0)
 
 
-def binaturality_check(axiom: str, field, family_at: Callable, structural: bool,
-                       universe, budget: CheckBudget, extra_tuples: int = 0,
-                       flips: bool = True) -> CheckReport:
+def binaturality_phase(axiom: str, field, family_at: Callable, universe,
+                       budget: CheckBudget, flips: bool = True) -> Phase:
     """Naturality in both arguments over sampled map pairs (f, g).
 
     For a flipping family (X (x) Y -> Y (x) X) the square reads
     ``(g (x) f) o m_{X,Y} = m_{X',Y'} o (f (x) g)``; for an endomorphism
-    family ``f (x) g`` appears on both sides.  ``extra_tuples`` counts
-    quantifier instances a caller already checked.
+    family ``f (x) g`` appears on both sides.
     """
-    objs = sort_universe(universe)
-    tuples = 0
-    sampled = 0
-    for x, y, xp, yp in product(objs, repeat=4):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        sid = f"{axiom}:{tuples - 1}"
-        fs = map_batch(field, x, xp, budget, sid + ":f")
-        gs = map_batch(field, y, yp, budget, sid + ":g")
-        m_src = family_at(x, y)
-        m_tgt = family_at(xp, yp)
-        for f, g in zip(fs, gs):
-            sampled += 1
-            outer = tensor_map(g, f) if flips else tensor_map(f, g)
-            lhs = compose(outer, m_src)
-            rhs = compose(m_tgt, tensor_map(f, g))
-            w = equality_witness(axiom, (x, y, xp, yp), lhs, rhs, pair_decoder(x, y))
-            if w is not None:
-                return failed(axiom, Coverage(extra_tuples + tuples, sampled), w)
-    note = STRUCTURAL_NOTE if structural else None
-    return passed(axiom, Coverage(extra_tuples + tuples, sampled, note))
+    def instances():
+        for n, (x, y, xp, yp) in enumerate(product(universe, repeat=4)):
+            sid = f"{axiom}:{n}"
+            fs = map_batch(field, x, xp, budget, sid + ":f")
+            gs = map_batch(field, y, yp, budget, sid + ":g")
+            m_src = family_at(x, y)
+            m_tgt = family_at(xp, yp)
+            decode = pair_decoder(x, y)
+            yield (x, y, xp, yp), (
+                Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
+                     compose(m_tgt, tensor_map(f, g)), decode)
+                for f, g in zip(fs, gs))
+
+    return Phase(instances(), budget.max_object_tuples, sampled=True)
+
+
+# ---------------------------------------------------------------------------
+# scalar route (structural data only)
+
+
+def scalar_axiom_sides(field, monoid, c: Callable, s: Callable,
+                       axiom: str, i: int, j: int, k: int):
+    """Per-degree-triple scalar values of both sides of an axiom.
+
+    ``c(i, j)`` is the idempotent coefficient, ``s(i, j)`` the braiding
+    coefficient (with its sign); both return field scalars.  ``H1`` and
+    ``H2`` are the two hexagons of D3, which read only ``s``.
+    """
+    add = monoid.add
+    mul = field.mul
+    if axiom == "H1":
+        return s(add(i, j), k), mul(s(i, k), s(j, k))
+    if axiom == "H2":
+        return s(i, add(j, k)), mul(s(i, j), s(i, k))
+    if axiom == "E2L":
+        return c(add(i, j), k), mul(c(j, k), c(i, add(j, k)))
+    if axiom == "E2R":
+        return c(i, add(j, k)), mul(c(i, j), c(add(i, j), k))
+    if axiom in ("E2L_cocycle", "E2R_cocycle"):
+        return (mul(c(add(i, j), k), c(i, j)),
+                mul(c(j, k), c(i, add(j, k))))
+    if axiom == "BL":
+        common = mul(c(j, k), s(j, k))
+        return mul(c(i, add(j, k)), common), mul(c(i, k), common)
+    if axiom == "BR":
+        common = mul(c(i, j), s(i, j))
+        return mul(c(add(i, j), k), common), mul(c(i, k), common)
+    raise ValueError(f"axiom {axiom!r} has no scalar form")
+
+
+def scalar_route(field, monoid, c: Callable, s: Callable, axioms) -> Callable:
+    """``agrees(x, y, z)``: every listed scalar identity holds on every
+    degree triple of the objects, computed without any matrix."""
+    def agrees(x, y, z) -> bool:
+        for i in x.degrees:
+            for j in y.degrees:
+                for k in z.degrees:
+                    for axiom in axioms:
+                        lhs, rhs = scalar_axiom_sides(field, monoid, c, s,
+                                                      axiom, i, j, k)
+                        if lhs != rhs:
+                            return False
+        return True
+    return agrees
 
 
 # ---------------------------------------------------------------------------
@@ -258,36 +302,32 @@ def binaturality_check(axiom: str, field, family_at: Callable, structural: bool,
 
 def check_D1(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     """Binaturality of sigma over sampled morphism pairs."""
-    return binaturality_check(
-        "D1", ds.field, ds.sigma_map, ds.sigma.structural, ds.universe, budget,
-    )
+    return decide("D1", binaturality_phase("D1", ds.field, ds.sigma_map,
+                                           ds.universe, budget),
+                  note=STRUCTURAL_NOTE if ds.sigma.structural else None)
 
 
 def check_D2(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     """Unit normalization of sigma and Lambda_I = Id."""
     field, unit = ds.field, ds.unit
-    tuples = 0
-    for x in ds.universe:
-        tuples += 1
-        lhs = ds.sigma_map(x, unit)
-        rhs = compose(left_unitor_inv(field, x), right_unitor(field, x))
-        w = equality_witness("D2", (x, unit), lhs, rhs, pair_decoder(x, unit))
-        if w is not None:
-            return failed("D2", Coverage(tuples), w)
-        lhs = ds.sigma_map(unit, x)
-        rhs = compose(right_unitor_inv(field, x), left_unitor(field, x))
-        w = equality_witness("D2", (unit, x), lhs, rhs, pair_decoder(unit, x))
-        if w is not None:
-            return failed("D2", Coverage(tuples), w)
-    tuples += 1
-    w = equality_witness("D2", (unit,), ds.lambda_map(unit), identity(field, unit))
-    if w is not None:
-        return failed("D2", Coverage(tuples), w)
-    return passed("D2", Coverage(tuples))
+
+    def normalization_sides(x):
+        yield Side(ds.sigma_map(x, unit),
+                   compose(left_unitor_inv(field, x), right_unitor(field, x)),
+                   pair_decoder(x, unit), (x, unit))
+        yield Side(ds.sigma_map(unit, x),
+                   compose(right_unitor_inv(field, x), left_unitor(field, x)),
+                   pair_decoder(unit, x), (unit, x))
+
+    def unit_law():
+        yield (unit,), [Side(ds.lambda_map(unit), identity(field, unit))]
+
+    normalizations = (((x,), normalization_sides(x)) for x in ds.universe)
+    return decide("D2", Phase(normalizations), Phase(unit_law()))
 
 
 def _hexagon_sides(ds: DistortedStructure, x, y, z):
-    """The two typed hexagon identities, as (lhs, rhs) map pairs."""
+    """The two typed hexagon identities, as sides out of (XY)Z and X(YZ)."""
     field = ds.field
     xy = tensor_obj(x, y)
     yz = tensor_obj(y, z)
@@ -308,84 +348,43 @@ def _hexagon_sides(ds: DistortedStructure, x, y, z):
                 compose(associator(field, y, x, z),
                         compose(tensor_map(ds.sigma_map(x, y), idz),
                                 associator_inv(field, x, y, z)))))
-    return (hex1_lhs, hex1_rhs), (hex2_lhs, hex2_rhs)
-
-
-def _scalar_hexagons_agree(ds: DistortedStructure, x, y, z) -> bool:
-    """Independent scalar route for structural sigma: both hexagons reduce,
-    per degree triple, to products of per-pair coefficients."""
-    field = ds.field
-    add = ds.monoid.add
-    coeff = ds.sigma.coefficient
-    for i in x.degrees:
-        for j in y.degrees:
-            for k in z.degrees:
-                lhs1 = coeff(field, add(i, j), k)
-                rhs1 = field.mul(coeff(field, i, k), coeff(field, j, k))
-                if lhs1 != rhs1:
-                    return False
-                lhs2 = coeff(field, i, add(j, k))
-                rhs2 = field.mul(coeff(field, i, j), coeff(field, i, k))
-                if lhs2 != rhs2:
-                    return False
-    return True
+    return [Side(hex1_lhs, hex1_rhs, triple_decoder_left(x, y, z)),
+            Side(hex2_lhs, hex2_rhs, triple_decoder_right(x, y, z))]
 
 
 def check_D3(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     """Both typed hexagons over universe triples (capped by budget)."""
-    tuples = 0
-    for x, y, z in product(ds.universe, repeat=3):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        (l1, r1), (l2, r2) = _hexagon_sides(ds, x, y, z)
-        w = equality_witness("D3", (x, y, z), l1, r1, triple_decoder_left(x, y, z))
-        if w is None:
-            w = equality_witness("D3", (x, y, z), l2, r2,
-                                 triple_decoder_right(x, y, z))
-        if ds.sigma.structural:
-            # cross-check the matrix verdict against the scalar route
-            if _scalar_hexagons_agree(ds, x, y, z) != (w is None):
-                raise AssertionError(
-                    "internal: hexagon scalar route disagrees with matrices"
-                )
-        if w is not None:
-            return failed("D3", Coverage(tuples), w)
-    note = STRUCTURAL_NOTE if ds.sigma.structural else None
-    return passed("D3", Coverage(tuples, note=note))
+    triples = ((t, _hexagon_sides(ds, *t)) for t in product(ds.universe, repeat=3))
+    if not ds.sigma.structural:
+        return decide("D3", Phase(triples, budget.max_object_tuples))
+    field = ds.field
+    agrees = scalar_route(field, ds.monoid, None,
+                          lambda i, j: ds.sigma.coefficient(field, i, j), ("H1", "H2"))
+    return decide("D3", Phase(triples, budget.max_object_tuples),
+                  note=STRUCTURAL_NOTE, agrees=agrees)
 
 
 def check_D4(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     """Multiplicativity of Lambda over universe pairs."""
-    tuples = 0
-    for x, y in product(ds.universe, repeat=2):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        lhs = ds.lambda_map(tensor_obj(x, y))
-        rhs = tensor_map(ds.lambda_map(x), ds.lambda_map(y))
-        w = equality_witness("D4", (x, y), lhs, rhs, pair_decoder(x, y))
-        if w is not None:
-            return failed("D4", Coverage(tuples), w)
-    return passed("D4", Coverage(tuples))
+    pairs = (((x, y), [Side(ds.lambda_map(tensor_obj(x, y)),
+                            tensor_map(ds.lambda_map(x), ds.lambda_map(y)),
+                            pair_decoder(x, y))])
+             for x, y in product(ds.universe, repeat=2))
+    return decide("D4", Phase(pairs, budget.max_object_tuples))
 
 
 def check_lambda_sigma_commute(ds: DistortedStructure,
                                budget: CheckBudget) -> CheckReport:
     """Regression guard for the law derived from binaturality:
     (Lambda_Y (x) Lambda_X) o sigma = sigma o (Lambda_X (x) Lambda_Y)."""
-    tuples = 0
-    for x, y in product(ds.universe, repeat=2):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        s = ds.sigma_map(x, y)
-        lhs = compose(tensor_map(ds.lambda_map(y), ds.lambda_map(x)), s)
-        rhs = compose(s, tensor_map(ds.lambda_map(x), ds.lambda_map(y)))
-        w = equality_witness("lambda_sigma", (x, y), lhs, rhs, pair_decoder(x, y))
-        if w is not None:
-            return failed("lambda_sigma", Coverage(tuples), w)
-    return passed("lambda_sigma", Coverage(tuples))
+    def pairs():
+        for x, y in product(ds.universe, repeat=2):
+            s = ds.sigma_map(x, y)
+            lhs = compose(tensor_map(ds.lambda_map(y), ds.lambda_map(x)), s)
+            rhs = compose(s, tensor_map(ds.lambda_map(x), ds.lambda_map(y)))
+            yield (x, y), [Side(lhs, rhs, pair_decoder(x, y))]
+
+    return decide("lambda_sigma", Phase(pairs(), budget.max_object_tuples))
 
 
 def classify_scalar_unit_families(field) -> list:

@@ -31,7 +31,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MonoidMismatch, ObjectMismatch
-from .reports import CheckBudget, CheckReport, Coverage, equality_witness, failed, passed
+from .reports import CheckBudget, CheckReport, Phase, Side, decide
 
 
 # ---------------------------------------------------------------------------
@@ -616,29 +616,22 @@ def check_base(field, universe: Sequence[GradedObject], budget: CheckBudget,
     objs = sort_universe(universe)
     unit = unit_object(objs[0].monoid)
 
-    pairs = 0
-    for x, y in product(objs, repeat=2):
-        lhs = compose(tensor_map(identity(field, x), left_unitor(field, y)),
-                      assoc(field, x, unit, y))
-        rhs = tensor_map(right_unitor(field, x), identity(field, y))
-        pairs += 1
-        w = equality_witness("base", (x, y), lhs, rhs)
-        if w is not None:
-            return failed("base", Coverage(pairs, note="triangle"), w)
+    def triangles():
+        for x, y in product(objs, repeat=2):
+            lhs = compose(tensor_map(identity(field, x), left_unitor(field, y)),
+                          assoc(field, x, unit, y))
+            rhs = tensor_map(right_unitor(field, x), identity(field, y))
+            yield (x, y), [Side(lhs, rhs)]
 
-    quads = 0
-    for w_, x, y, z in product(objs, repeat=4):
-        if quads >= budget.max_object_tuples:
-            break
-        p1 = compose(assoc(field, w_, x, tensor_obj(y, z)),
-                     assoc(field, tensor_obj(w_, x), y, z))
-        p2 = compose(tensor_map(identity(field, w_), assoc(field, x, y, z)),
-                     compose(assoc(field, w_, tensor_obj(x, y), z),
-                             tensor_map(assoc(field, w_, x, y), identity(field, z))))
-        quads += 1
-        wit = equality_witness("base", (w_, x, y, z), p1, p2)
-        if wit is not None:
-            return failed("base", Coverage(pairs + quads, note="pentagon"), wit)
+    def pentagons():
+        for w, x, y, z in product(objs, repeat=4):
+            p1 = compose(assoc(field, w, x, tensor_obj(y, z)),
+                         assoc(field, tensor_obj(w, x), y, z))
+            p2 = compose(tensor_map(identity(field, w), assoc(field, x, y, z)),
+                         compose(assoc(field, w, tensor_obj(x, y), z),
+                                 tensor_map(assoc(field, w, x, y), identity(field, z))))
+            yield (w, x, y, z), [Side(p1, p2)]
 
-    note = f"triangle pairs={pairs} pentagon quadruples={quads}"
-    return passed("base", Coverage(pairs + quads, note=note))
+    return decide("base", Phase(triangles(), note="triangle"),
+                  Phase(pentagons(), budget.max_object_tuples, "pentagon"),
+                  note="triangle pairs={} pentagon quadruples={}")

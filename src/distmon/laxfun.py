@@ -33,9 +33,7 @@ from .exactlin import (
     triple_decoder_left, unit_object, zero_map,
 )
 from .distortion import DistortedStructure, identity_unit, symmetric_braiding
-from .reports import (
-    CheckBudget, CheckReport, Coverage, equality_witness, failed, passed,
-)
+from .reports import CheckBudget, CheckReport, Phase, Side, decide
 from .sampling import map_batch
 
 
@@ -110,9 +108,12 @@ def collapse_functor(ds: DistortedStructure,
     """
     field = ds.field
 
-    def obj(x: GradedObject) -> GradedObject:
-        total = x.total_dim
+    @cache  # one shared image object per total dimension
+    def image(total: int) -> GradedObject:
         return GradedObject(TRIVIAL, ((0, total),) if total else ())
+
+    def obj(x: GradedObject) -> GradedObject:
+        return image(x.total_dim)
 
     def _positions(x: GradedObject) -> dict:
         pos = {}
@@ -200,97 +201,73 @@ def check_lax_axioms(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     field = func.target.field
     src_unit = func.source.unit
 
-    tuples = 0
-    for x in func.source.universe:
-        tuples += 1
+    def unit_sides(x):
         fx = func.obj(x)
         lhs = compose(func.mor(left_unitor(field, x)),
                       compose(func.mu(src_unit, x),
                               tensor_map(func.mu0, identity(field, fx))))
-        rhs = left_unitor(field, fx)
-        w = equality_witness("lax", (x,), lhs, rhs)
-        if w is not None:
-            return failed("lax", Coverage(tuples, note="left unit"), w)
+        yield Side(lhs, left_unitor(field, fx), note="left unit")
         lhs = compose(func.mor(right_unitor(field, x)),
                       compose(func.mu(x, src_unit),
                               tensor_map(identity(field, fx), func.mu0)))
-        rhs = right_unitor(field, fx)
-        w = equality_witness("lax", (x,), lhs, rhs)
-        if w is not None:
-            return failed("lax", Coverage(tuples, note="right unit"), w)
+        yield Side(lhs, right_unitor(field, fx), note="right unit")
 
-    triples = 0
-    for x, y, z in product(func.source.universe, repeat=3):
-        if triples >= budget.max_object_tuples:
-            break
-        triples += 1
-        fx, fy, fz = func.obj(x), func.obj(y), func.obj(z)
-        lhs = compose(
-            func.mor(associator(field, x, y, z)),
-            compose(func.mu(tensor_obj(x, y), z),
-                    tensor_map(func.mu(x, y), identity(field, fz))))
-        rhs = compose(
-            func.mu(x, tensor_obj(y, z)),
-            compose(tensor_map(identity(field, fx), func.mu(y, z)),
-                    associator(field, fx, fy, fz)))
-        w = equality_witness("lax", (x, y, z), lhs, rhs,
-                             triple_decoder_left(fx, fy, fz))
-        if w is not None:
-            return failed("lax", Coverage(tuples + triples, note="pentagon"), w)
-    note = f"unit objects={tuples} pentagon triples={triples}"
-    return passed("lax", Coverage(tuples + triples, note=note))
+    def pentagons():
+        for x, y, z in product(func.source.universe, repeat=3):
+            fx, fy, fz = func.obj(x), func.obj(y), func.obj(z)
+            lhs = compose(
+                func.mor(associator(field, x, y, z)),
+                compose(func.mu(tensor_obj(x, y), z),
+                        tensor_map(func.mu(x, y), identity(field, fz))))
+            rhs = compose(
+                func.mu(x, tensor_obj(y, z)),
+                compose(tensor_map(identity(field, fx), func.mu(y, z)),
+                        associator(field, fx, fy, fz)))
+            yield (x, y, z), [Side(lhs, rhs, triple_decoder_left(fx, fy, fz))]
+
+    units = (((x,), unit_sides(x)) for x in func.source.universe)
+    return decide("lax", Phase(units),
+                  Phase(pentagons(), budget.max_object_tuples, "pentagon"),
+                  note="unit objects={} pentagon triples={}")
 
 
 def check_SLambda(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """Strict unit-distortion compatibility F(Lambda_Z) = Lambda'_{FZ}."""
-    tuples = 0
-    for z in func.source.universe:
-        tuples += 1
-        lhs = func.mor(func.source.lambda_map(z))
-        rhs = func.target.lambda_map(func.obj(z))
-        w = equality_witness("SLambda", (z,), lhs, rhs)
-        if w is not None:
-            return failed("SLambda", Coverage(tuples), w)
-    return passed("SLambda", Coverage(tuples))
+    objects = (((z,), [Side(func.mor(func.source.lambda_map(z)),
+                            func.target.lambda_map(func.obj(z)))])
+               for z in func.source.universe)
+    return decide("SLambda", Phase(objects))
 
 
 def check_Ssigma(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """F(sigma_{X,Y}) o mu(X,Y) = mu(Y,X) o sigma'_{FX,FY}."""
-    tuples = 0
-    for x, y in product(func.source.universe, repeat=2):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        fx, fy = func.obj(x), func.obj(y)
-        lhs = compose(func.mor(func.source.sigma_map(x, y)), func.mu(x, y))
-        rhs = compose(func.mu(y, x), func.target.sigma_map(fx, fy))
-        w = equality_witness("Ssigma", (x, y), lhs, rhs, pair_decoder(fx, fy))
-        if w is not None:
-            return failed("Ssigma", Coverage(tuples), w)
-    return passed("Ssigma", Coverage(tuples))
+    def pairs():
+        for x, y in product(func.source.universe, repeat=2):
+            fx, fy = func.obj(x), func.obj(y)
+            lhs = compose(func.mor(func.source.sigma_map(x, y)), func.mu(x, y))
+            rhs = compose(func.mu(y, x), func.target.sigma_map(fx, fy))
+            yield (x, y), [Side(lhs, rhs, pair_decoder(fx, fy))]
+
+    return decide("Ssigma", Phase(pairs(), budget.max_object_tuples))
 
 
 def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """mu(X',Y') o (F(u) (x)' F(v)) = F(u (x) v) o mu(X,Y) on sampled maps."""
     field = func.target.field
-    tuples = 0
-    sampled = 0
-    for x, y, xp, yp in product(func.source.universe, repeat=4):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        sid = f"mu_nat:{func.name}:{tuples - 1}"
-        us = map_batch(field, x, xp, budget, sid + ":u")
-        vs = map_batch(field, y, yp, budget, sid + ":v")
-        for u, v in zip(us, vs):
-            sampled += 1
-            lhs = compose(func.mu(xp, yp), tensor_map(func.mor(u), func.mor(v)))
-            rhs = compose(func.mor(tensor_map(u, v)), func.mu(x, y))
-            w = equality_witness("laxator_naturality", (x, y, xp, yp), lhs, rhs,
-                                 pair_decoder(func.obj(x), func.obj(y)))
-            if w is not None:
-                return failed("laxator_naturality", Coverage(tuples, sampled), w)
-    return passed("laxator_naturality", Coverage(tuples, sampled))
+
+    def quadruples():
+        for n, (x, y, xp, yp) in enumerate(product(func.source.universe, repeat=4)):
+            sid = f"mu_nat:{func.name}:{n}"
+            us = map_batch(field, x, xp, budget, sid + ":u")
+            vs = map_batch(field, y, yp, budget, sid + ":v")
+            decode = pair_decoder(func.obj(x), func.obj(y))
+            yield (x, y, xp, yp), (
+                Side(compose(func.mu(xp, yp), tensor_map(func.mor(u), func.mor(v))),
+                     compose(func.mor(tensor_map(u, v)), func.mu(x, y)), decode)
+                for u, v in zip(us, vs))
+
+    return decide("laxator_naturality",
+                  Phase(quadruples(), budget.max_object_tuples, sampled=True))
 
 
 def check_triple_strictness(h: LaxFunctor, g: LaxFunctor, f: LaxFunctor,
@@ -303,16 +280,8 @@ def check_triple_strictness(h: LaxFunctor, g: LaxFunctor, f: LaxFunctor,
     compose_fn = compose_fn or compose_lax
     left = compose_fn(h, compose_fn(g, f))
     right = compose_fn(compose_fn(h, g), f)
-    tuples = 1
-    w = equality_witness("triple_strictness", (f.source.unit,), left.mu0, right.mu0)
-    if w is not None:
-        return failed("triple_strictness", Coverage(tuples, note="unit"), w)
-    for x, y in product(f.source.universe, repeat=2):
-        if tuples > budget.max_object_tuples:
-            break
-        tuples += 1
-        w = equality_witness("triple_strictness", (x, y), left.mu(x, y),
-                             right.mu(x, y))
-        if w is not None:
-            return failed("triple_strictness", Coverage(tuples), w)
-    return passed("triple_strictness", Coverage(tuples))
+    unit = ((f.source.unit,), [Side(left.mu0, right.mu0)])
+    pairs = (((x, y), [Side(left.mu(x, y), right.mu(x, y))])
+             for x, y in product(f.source.universe, repeat=2))
+    return decide("triple_strictness", Phase([unit], note="unit"),
+                  Phase(pairs, budget.max_object_tuples))

@@ -1,5 +1,11 @@
 """Check verdicts, quantifier coverage, and failure witnesses.
 
+A checker states each quantifier as a ``Phase`` of lazy instances (an
+object tuple and its ``Side`` identities); ``decide`` is the one loop that
+runs them.  It takes at most a phase's ``cap`` instances, counts every
+instance decided (``object_tuples``, the failing one included) and every
+side of a sampled phase (``sampled_maps``), and builds the verdict.
+
 A failing check always carries a complete witness: the object tuple, the
 degree indices of the first differing basis column, and both offending
 maps.  Re-running the same check over a universe containing just the
@@ -9,7 +15,8 @@ witness objects reproduces the failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -109,9 +116,60 @@ def equality_witness(axiom: str, objects, left, right,
                    lv, rv, left, right)
 
 
-def passed(axiom: str, coverage: Coverage) -> CheckReport:
-    return CheckReport(axiom, "pass", coverage)
+@dataclass(frozen=True)
+class Side:
+    """One identity ``lhs == rhs`` of an instance; ``objects`` and ``note``,
+    when given, replace the instance's objects and the phase's note."""
+
+    lhs: object  # GradedMap
+    rhs: object  # GradedMap
+    decode: Optional[Decoder] = None
+    objects: Optional[tuple] = None
+    note: Optional[str] = None
 
 
-def failed(axiom: str, coverage: Coverage, witness: Witness) -> CheckReport:
-    return CheckReport(axiom, "fail", coverage, witness)
+@dataclass(frozen=True)
+class Phase:
+    """One quantifier: at most ``cap`` of its lazy ``(objects, sides)``
+    instances are taken; ``note`` labels a failure in the phase, and in a
+    ``sampled`` phase every side evaluated counts as a sampled map pair."""
+
+    instances: Iterable
+    cap: Optional[int] = None
+    note: Optional[str] = None
+    sampled: bool = False
+
+
+def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
+           agrees: Optional[Callable[..., bool]] = None) -> CheckReport:
+    """Decide the phases in order; the first failing side ends the check.
+
+    An instance's sides are consumed before the next instance is pulled, so
+    they may be built lazily from the generator's state.  ``agrees(*objects)``,
+    an independent route, must match every instance's verdict.  A pass note
+    is ``note`` formatted with the per-phase counts.
+    """
+    maps = 0
+    counts = []
+    for phase in phases:
+        count = 0
+        for objects, sides in islice(phase.instances, phase.cap):
+            count += 1
+            witness = None
+            for side in sides:
+                if phase.sampled:
+                    maps += 1
+                witness = equality_witness(axiom, side.objects or objects,
+                                           side.lhs, side.rhs, side.decode)
+                if witness is not None:
+                    break
+            if agrees is not None and agrees(*objects) != (witness is None):
+                raise AssertionError(
+                    f"internal: scalar route disagrees with matrices for {axiom}"
+                )
+            if witness is not None:
+                coverage = Coverage(sum(counts) + count, maps, side.note or phase.note)
+                return CheckReport(axiom, "fail", coverage, witness)
+        counts.append(count)
+    return CheckReport(axiom, "pass", Coverage(
+        sum(counts), maps, note.format(*counts) if note is not None else None))

@@ -22,7 +22,7 @@ from .exactlin import (
 )
 from .laxfun import LaxFunctor, compose_lax, identity_functor
 from .reports import (
-    CheckBudget, CheckReport, Coverage, equality_witness, failed, passed,
+    CheckBudget, CheckReport, Phase, Side, decide, equality_witness,
 )
 
 
@@ -142,40 +142,38 @@ def check_monoidal(theta: MonNatTrans, budget: CheckBudget) -> CheckReport:
     """The tensor and unit compatibility squares of a 2-cell."""
     f, g = theta.source_functor, theta.target_functor
     base = f.source
-    tuples = 0
-    for x, y in product(base.universe, repeat=2):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        lhs = compose(g.mu(x, y),
-                      tensor_map(theta.component(x), theta.component(y)))
-        rhs = compose(theta.component(tensor_obj(x, y)), f.mu(x, y))
-        w = equality_witness("monoidal", (x, y), lhs, rhs,
-                             pair_decoder(f.obj(x), f.obj(y)))
-        if w is not None:
-            return failed("monoidal", Coverage(tuples), w)
-    tuples += 1
-    lhs = g.mu0
-    rhs = compose(theta.component(base.unit), f.mu0)
-    w = equality_witness("monoidal", (base.unit,), lhs, rhs)
-    if w is not None:
-        return failed("monoidal", Coverage(tuples, note="unit"), w)
-    return passed("monoidal", Coverage(tuples))
+
+    def pairs():
+        for x, y in product(base.universe, repeat=2):
+            lhs = compose(g.mu(x, y),
+                          tensor_map(theta.component(x), theta.component(y)))
+            rhs = compose(theta.component(tensor_obj(x, y)), f.mu(x, y))
+            yield (x, y), [Side(lhs, rhs, pair_decoder(f.obj(x), f.obj(y)))]
+
+    def unit_square():
+        unit = base.unit
+        yield (unit,), [Side(g.mu0, compose(theta.component(unit), f.mu0))]
+
+    return decide("monoidal", Phase(pairs(), budget.max_object_tuples),
+                  Phase(unit_square(), note="unit"))
 
 
 def check_lambda_conjugation(theta: MonNatTrans, budget: CheckBudget) -> CheckReport:
     """theta_Z o F(Lambda_Z) = G(Lambda_Z) o theta_Z for universe Z."""
     f, g = theta.source_functor, theta.target_functor
-    tuples = 0
-    for z in f.source.universe:
-        tuples += 1
-        lam = f.source.lambda_map(z)
-        lhs = compose(theta.component(z), f.mor(lam))
-        rhs = compose(g.mor(lam), theta.component(z))
-        w = equality_witness("lambda_conjugation", (z,), lhs, rhs)
-        if w is not None:
-            return failed("lambda_conjugation", Coverage(tuples), w)
-    return passed("lambda_conjugation", Coverage(tuples))
+
+    def objects():
+        for z in f.source.universe:
+            lam = f.source.lambda_map(z)
+            yield (z,), [Side(compose(theta.component(z), f.mor(lam)),
+                              compose(g.mor(lam), theta.component(z)))]
+
+    return decide("lambda_conjugation", Phase(objects()))
+
+
+def _componentwise(a: MonNatTrans, b: MonNatTrans, universe):
+    """One instance per object: the components of two parallel cells agree."""
+    return (((x,), [Side(a.component(x), b.component(x))]) for x in universe)
 
 
 def check_interchange(eta: MonNatTrans, theta: MonNatTrans, phi: MonNatTrans,
@@ -187,22 +185,8 @@ def check_interchange(eta: MonNatTrans, theta: MonNatTrans, phi: MonNatTrans,
     """
     lhs = _whisker(vertical(psi, phi), vertical(theta, eta))
     rhs = vertical(_whisker(psi, theta), _whisker(phi, eta))
-    tuples = 0
-    for x in eta.source_functor.source.universe:
-        tuples += 1
-        w = equality_witness("interchange", (x,), lhs.component(x),
-                             rhs.component(x))
-        if w is not None:
-            return failed("interchange", Coverage(tuples), w)
-    return passed("interchange", Coverage(tuples))
-
-
-def _components_equal(axiom, a: MonNatTrans, b: MonNatTrans, universe):
-    for x in universe:
-        w = equality_witness(axiom, (x,), a.component(x), b.component(x))
-        if w is not None:
-            return w
-    return None
+    return decide("interchange", Phase(
+        _componentwise(lhs, rhs, eta.source_functor.source.universe)))
 
 
 def check_horizontal_strictness(chains: Sequence[Sequence[MonNatTrans]],
@@ -212,35 +196,29 @@ def check_horizontal_strictness(chains: Sequence[Sequence[MonNatTrans]],
     Each chain lists composable 2-cells innermost first; non-composable
     chains raise StructureMismatch rather than producing a fail verdict.
     """
-    tuples = 0
-    for chain in chains:
-        if len(chain) != 3:
-            raise StructureMismatch("horizontal strictness chains have length 3")
-        a, b, c = chain
-        universe = a.source_functor.source.universe
-        left = horizontal(c, horizontal(b, a))
-        right = horizontal(horizontal(c, b), a)
-        tuples += len(universe)
-        w = _components_equal("horizontal_strictness", left, right, universe)
-        if w is not None:
-            return failed("horizontal_strictness",
-                          Coverage(tuples, note="associativity"), w)
-    seen = []
-    for chain in chains:
-        for cell in chain:
-            if all(cell is not s for s in seen):
-                seen.append(cell)
-    for cell in seen:
-        universe = cell.source_functor.source.universe
-        id_src = identity_transformation(identity_functor(cell.source_functor.source))
-        id_tgt = identity_transformation(identity_functor(cell.source_functor.target))
-        tuples += 2 * len(universe)
-        w = _components_equal("horizontal_strictness",
-                              horizontal(cell, id_src), cell, universe)
-        if w is None:
-            w = _components_equal("horizontal_strictness",
-                                  horizontal(id_tgt, cell), cell, universe)
-        if w is not None:
-            return failed("horizontal_strictness",
-                          Coverage(tuples, note="unit law"), w)
-    return passed("horizontal_strictness", Coverage(tuples))
+    def associativity():
+        for chain in chains:
+            if len(chain) != 3:
+                raise StructureMismatch("horizontal strictness chains have length 3")
+            a, b, c = chain
+            yield from _componentwise(horizontal(c, horizontal(b, a)),
+                                      horizontal(horizontal(c, b), a),
+                                      a.source_functor.source.universe)
+
+    def unit_laws():
+        seen = []
+        for chain in chains:
+            for cell in chain:
+                if all(cell is not s for s in seen):
+                    seen.append(cell)
+        for cell in seen:
+            func = cell.source_functor
+            universe = func.source.universe
+            id_src = identity_transformation(identity_functor(func.source))
+            yield from _componentwise(horizontal(cell, id_src), cell, universe)
+            id_tgt = identity_transformation(identity_functor(func.target))
+            yield from _componentwise(horizontal(id_tgt, cell), cell, universe)
+
+    return decide("horizontal_strictness",
+                  Phase(associativity(), note="associativity"),
+                  Phase(unit_laws(), note="unit law"))

@@ -16,14 +16,15 @@ checked here:
 The literal and cocycle readings of multiplicativity genuinely disagree
 on the parity projector; both are first-class axiom ids and never share
 a verdict.  For structural data every axiom also reduces to per-degree-
-triple scalar identities; the checkers evaluate that independent route
-on every tuple and refuse to return if the two disagree.
+triple scalar identities (``scalar_axiom_sides``, shared with D3); the
+checkers evaluate that independent route on every tuple and refuse to
+return if the two disagree.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 from dataclasses import dataclass
 
@@ -34,10 +35,12 @@ from .exactlin import (
     tensor_map, tensor_obj, triple_decoder_left, triple_decoder_right,
     unit_object,
 )
-from .distortion import StructuralBinary, binaturality_check
-from .reports import (
-    CheckBudget, CheckReport, Coverage, equality_witness, failed, passed,
+# scalar_axiom_sides is re-exported beside the axiom table it evaluates
+from .distortion import (
+    STRUCTURAL_NOTE, StructuralBinary, binaturality_phase, scalar_axiom_sides,
+    scalar_route,
 )
+from .reports import CheckBudget, CheckReport, Phase, Side, decide
 
 AXIOMS = ("E0", "E1", "E2L", "E2R", "E2L_cocycle", "E2R_cocycle", "BL", "BR")
 
@@ -170,18 +173,14 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
         rhs = compose(tensor_map(e.at(field, x, y), idz),
                       compose(e.at(field, xy, z), alinv))
         return lhs, rhs, triple_decoder_right(x, y, z)
-    if axiom == "E2L_cocycle":
+    if axiom in ("E2L_cocycle", "E2R_cocycle"):
         pair_form = compose(e.at(field, xy, z), tensor_map(e.at(field, x, y), idz))
         split_form = compose(tensor_map(idx, e.at(field, y, z)), e.at(field, x, yz))
-        lhs = compose(al, pair_form)
-        rhs = compose(split_form, al)
-        return lhs, rhs, triple_decoder_left(x, y, z)
-    if axiom == "E2R_cocycle":
-        pair_form = compose(e.at(field, xy, z), tensor_map(e.at(field, x, y), idz))
-        split_form = compose(tensor_map(idx, e.at(field, y, z)), e.at(field, x, yz))
-        lhs = compose(pair_form, alinv)
-        rhs = compose(alinv, split_form)
-        return lhs, rhs, triple_decoder_right(x, y, z)
+        if axiom == "E2L_cocycle":
+            return (compose(al, pair_form), compose(split_form, al),
+                    triple_decoder_left(x, y, z))
+        return (compose(pair_form, alinv), compose(alinv, split_form),
+                triple_decoder_right(x, y, z))
     if axiom == "BL":
         front = compose(tensor_map(idx, beta.at(field, y, z)),
                         tensor_map(idx, e.at(field, y, z)))
@@ -202,51 +201,6 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# scalar oracle (structural data only)
-
-
-def scalar_axiom_sides(field, monoid, c: Callable, s: Callable,
-                       axiom: str, i: int, j: int, k: int):
-    """Per-degree-triple scalar values of both sides of an axiom.
-
-    ``c(i, j)`` is the idempotent coefficient, ``s(i, j)`` the braiding
-    coefficient (with its sign); both return field scalars.
-    """
-    add = monoid.add
-    mul = field.mul
-    if axiom == "E2L":
-        return c(add(i, j), k), mul(c(j, k), c(i, add(j, k)))
-    if axiom == "E2R":
-        return c(i, add(j, k)), mul(c(i, j), c(add(i, j), k))
-    if axiom in ("E2L_cocycle", "E2R_cocycle"):
-        return (mul(c(add(i, j), k), c(i, j)),
-                mul(c(j, k), c(i, add(j, k))))
-    if axiom == "BL":
-        common = mul(c(j, k), s(j, k))
-        return mul(c(i, add(j, k)), common), mul(c(i, k), common)
-    if axiom == "BR":
-        common = mul(c(i, j), s(i, j))
-        return mul(c(add(i, j), k), common), mul(c(i, k), common)
-    raise ValueError(f"axiom {axiom!r} has no scalar form")
-
-
-def _scalar_axiom_agrees(field, monoid, e, beta, axiom, x, y, z) -> bool:
-    def c(i, j):
-        return e.coefficient(field, i, j)
-
-    def s(i, j):
-        return beta.coefficient(field, i, j) if beta is not None else field.one
-
-    for i in x.degrees:
-        for j in y.degrees:
-            for k in z.degrees:
-                lhs, rhs = scalar_axiom_sides(field, monoid, c, s, axiom, i, j, k)
-                if lhs != rhs:
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # the axiom checker
 
 
@@ -262,48 +216,37 @@ def check_idempotent_axiom(field, e, axiom: str, universe, budget: CheckBudget,
     unit = unit_object(monoid)
 
     if axiom == "E0":
-        tuples = 0
-        for x, y in product(objs, repeat=2):
-            tuples += 1
-            m = e.at(field, x, y)
-            w = equality_witness("E0", (x, y), compose(m, m), m, pair_decoder(x, y))
-            if w is not None:
-                return failed("E0", Coverage(tuples), w)
-        return binaturality_check(
-            "E0", field, lambda a, b: e.at(field, a, b), e.structural,
-            objs, budget, extra_tuples=tuples, flips=False,
-        )
+        def idempotency():
+            for x, y in product(objs, repeat=2):
+                m = e.at(field, x, y)
+                yield (x, y), [Side(compose(m, m), m, pair_decoder(x, y))]
+
+        naturality = binaturality_phase(
+            "E0", field, lambda a, b: e.at(field, a, b), objs, budget, flips=False)
+        return decide("E0", Phase(idempotency()), naturality,
+                      note=STRUCTURAL_NOTE if e.structural else None)
 
     if axiom == "E1":
-        tuples = 0
-        for x in objs:
-            tuples += 1
-            for pair in ((x, unit), (unit, x)):
-                m = e.at(field, *pair)
-                ident = identity(field, tensor_obj(*pair))
-                w = equality_witness("E1", pair, m, ident, pair_decoder(*pair))
-                if w is not None:
-                    return failed("E1", Coverage(tuples), w)
-        return passed("E1", Coverage(tuples))
+        def normalizations():
+            for x in objs:
+                yield (x,), (Side(e.at(field, *pair),
+                                  identity(field, tensor_obj(*pair)),
+                                  pair_decoder(*pair), pair)
+                             for pair in ((x, unit), (unit, x)))
 
+        return decide("E1", Phase(normalizations()))
+
+    triples = (((x, y, z), [Side(*_axiom_sides(field, e, beta, axiom, x, y, z))])
+               for x, y, z in product(objs, repeat=3))
     structural = e.structural and (beta is None or beta.structural)
-    tuples = 0
-    for x, y, z in product(objs, repeat=3):
-        if tuples >= budget.max_object_tuples:
-            break
-        tuples += 1
-        lhs, rhs, decoder = _axiom_sides(field, e, beta, axiom, x, y, z)
-        w = equality_witness(axiom, (x, y, z), lhs, rhs, decoder)
-        if structural:
-            if _scalar_axiom_agrees(field, monoid, e, beta, axiom, x, y, z) \
-                    != (w is None):
-                raise AssertionError(
-                    f"internal: scalar route disagrees with matrices for {axiom}"
-                )
-        if w is not None:
-            return failed(axiom, Coverage(tuples), w)
-    note = "structural scalar route cross-checked" if structural else None
-    return passed(axiom, Coverage(tuples, note=note))
+    if not structural:
+        return decide(axiom, Phase(triples, budget.max_object_tuples))
+    agrees = scalar_route(
+        field, monoid, lambda i, j: e.coefficient(field, i, j),
+        lambda i, j: beta.coefficient(field, i, j) if beta is not None else field.one,
+        (axiom,))
+    return decide(axiom, Phase(triples, budget.max_object_tuples),
+                  note="structural scalar route cross-checked", agrees=agrees)
 
 
 # ---------------------------------------------------------------------------

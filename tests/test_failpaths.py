@@ -1,11 +1,12 @@
-"""Pinned reports of corrupted and capped cases, one per check path.
+"""Pinned reports of corrupted, capped and structural cases.
 
 The builtin catalog fails only a few checks, and runs D1/D3 only on
 structural families, so these cases pin what the report-level pins do not:
 the verdict, the coverage (tuples, maps, note) and the witness (objects,
 per-factor degrees, entry and values) of failing runs built with the test
-hooks.  The values were computed before the checkers shared one quantifier
-driver and must not change with it.
+hooks, plus the pass notes and counts of capped and structural runs.  The
+values were computed before the checkers shared one quantifier loop and
+must not change with it.
 """
 
 from dataclasses import replace

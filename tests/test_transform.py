@@ -340,3 +340,37 @@ def test_horizontal_strictness_mismatch_is_error():
         check_horizontal_strictness([chain], BUDGET)
     with pytest.raises(StructureMismatch):
         check_horizontal_strictness([[chain[0], chain[2]]], BUDGET)
+
+
+def test_horizontal_strictness_fail_counts_the_instances_decided(monkeypatch):
+    # Well-formed cells satisfy both laws, so a failure needs a cell whose
+    # component changes between calls and a composite without the
+    # construction gate.  A FAIL line counts (chain, object) and (cell,
+    # law, object) instances up to the failing one, not whole chains.
+    from distmon import transform
+    monkeypatch.setattr(transform, "horizontal", transform._whisker)
+    ds = make_ds()
+    t1, t2, t3 = projection_stack(ds)
+    target = ds.universe[3]
+
+    def flaky(cell, bad_call):
+        calls = []
+
+        def component(x, _c=cell.component):
+            m = _c(x)
+            calls.append(x)
+            if x != target or calls.count(x) != bad_call:
+                return m
+            return graded_map(Q, m.source, m.target, {
+                d: [[Q.mul(Fraction(2), v) for v in row] for row in block]
+                for d, block in m.dense_blocks()})
+        return replace(cell, component=component)
+
+    pi = projection_transformation(t2, t1)
+    for bad_call, tuples, note in ((2, 4, "associativity"), (3, 10, "unit law"),
+                                   (5, 16, "unit law")):
+        cell = flaky(projection_transformation(t3, t2), bad_call)
+        rep = check_horizontal_strictness([[cell, pi, pi]], BUDGET)
+        assert rep.verdict == "fail"
+        assert (rep.coverage.object_tuples, rep.coverage.note) == (tuples, note)
+        assert rep.witness.objects == (target,)
