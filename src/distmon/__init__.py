@@ -10,22 +10,22 @@ from .fields import FieldError, PrimeField, RATIONAL, Rationals
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, MONOIDS, NAT, PARITY, TRIVIAL,
     associator, associator_inv, check_base, collapse_map, compose, graded_map,
-    identity, left_unitor, left_unitor_inv, monomial_map, pair_basis,
-    pair_summands, right_unitor, right_unitor_inv, sort_universe, tensor_map,
-    tensor_obj, triple_basis_left, triple_basis_right, unit_object, zero_map,
+    identity, left_unitor, left_unitor_inv, monomial_map, right_unitor,
+    right_unitor_inv, sort_universe, tensor_map, tensor_obj, unit_object,
+    zero_map,
 )
 from .reports import CheckBudget, CheckReport, Coverage, Witness
 from .distortion import (
-    DistortedStructure, StructuralBinary, StructuralUnit, TabulatedBinary,
-    TabulatedUnit, character_family, check_D1, check_D2, check_D3, check_D4,
+    DistortedStructure, StructuralBinary, StructuralUnit, Tabulated,
+    character_family, check_D1, check_D2, check_D3, check_D4,
     check_lambda_sigma_commute, classify_scalar_unit_families,
     graded_character, identity_unit, koszul_braiding, symmetric_braiding,
     tabulate_binary,
 )
 from .twist import (
-    InvertibilityReport, StructuralIdempotent, TabulatedIdempotent,
-    check_idempotent_axiom, identity_idempotent, invertibility_test,
-    parity_projector, search_structural_idempotents, twist,
+    InvertibilityReport, StructuralIdempotent, check_idempotent_axiom,
+    identity_idempotent, invertibility_test, parity_projector,
+    search_structural_idempotents, twist,
 )
 from .laxfun import (
     LaxFunctor, check_lax_axioms, check_laxator_naturality, check_SLambda,

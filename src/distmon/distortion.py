@@ -26,10 +26,10 @@ from .errors import BadUnitScalar, CoverageError, MonoidMismatch
 from .fields import RATIONAL
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, TRIVIAL,
-    compose, identity, monomial_map,
+    compose, flip_map, identity, monomial_map,
     associator, associator_inv,
     left_unitor, left_unitor_inv, right_unitor, right_unitor_inv,
-    pair_basis, pair_decoder, sort_universe, tensor_map,
+    pair_decoder, sort_universe, tensor_map,
     tensor_obj, triple_decoder_left, triple_decoder_right, unit_object,
 )
 from .reports import (
@@ -69,7 +69,7 @@ class StructuralBinary:
         key = (field, x, y)
         got = self._memo.get(key)
         if got is None:
-            got = _flip_map(field, x, y, lambda i, j: self.coefficient(field, i, j))
+            got = flip_map(field, x, y, lambda i, j: self.coefficient(field, i, j))
             self._memo[key] = got
         return got
 
@@ -77,8 +77,10 @@ class StructuralBinary:
         return f"StructuralBinary({self.label or self.sign})"
 
 
-class TabulatedBinary:
-    """Finite table (X, Y) -> map; missing entries raise CoverageError."""
+class Tabulated:
+    """Finite table of a family: object -> map for a unit family, object
+    pair -> map for a binary or idempotent one.  Missing entries raise
+    CoverageError."""
 
     structural = False
 
@@ -86,27 +88,17 @@ class TabulatedBinary:
         self.entries = dict(entries)
         self.label = label
 
-    def at(self, field, x: GradedObject, y: GradedObject) -> GradedMap:
+    def at(self, field, *objects: GradedObject) -> GradedMap:
         try:
-            return self.entries[(x, y)]
+            return self.entries[objects[0] if len(objects) == 1 else objects]
         except KeyError:
+            names = ", ".join(map(str, objects))
             raise CoverageError(
-                f"tabulated family {self.label or ''} has no entry for ({x}, {y})"
+                f"tabulated family {self.label} has no entry for ({names})"
             ) from None
 
     def __repr__(self):
-        return f"TabulatedBinary({self.label}, {len(self.entries)} pairs)"
-
-
-def _flip_map(field, x: GradedObject, y: GradedObject,
-              coeff: Callable[[int, int], object]) -> GradedMap:
-    src = tensor_obj(x, y)
-    columns = {}
-    for n in src.degrees:
-        tpos = {lab: r for r, lab in enumerate(pair_basis(y, x, n))}
-        columns[n] = [(tpos[(j, i, b, a)], coeff(i, j))
-                      for i, j, a, b in pair_basis(x, y, n)]
-    return monomial_map(field, src, tensor_obj(y, x), columns)
+        return f"Tabulated({self.label}, {len(self.entries)} entries)"
 
 
 def symmetric_braiding() -> StructuralBinary:
@@ -117,9 +109,9 @@ def koszul_braiding() -> StructuralBinary:
     return StructuralBinary(lambda f, i, j: f.one, "koszul", "koszul")
 
 
-def tabulate_binary(family, field, pairs) -> TabulatedBinary:
+def tabulate_binary(family, field, pairs) -> Tabulated:
     """Materialize a family over explicit object pairs."""
-    return TabulatedBinary(
+    return Tabulated(
         {(x, y): family.at(field, x, y) for x, y in pairs},
         getattr(family, "label", ""),
     )
@@ -153,22 +145,6 @@ class StructuralUnit:
 
     def __repr__(self):
         return f"StructuralUnit({self.label})"
-
-
-class TabulatedUnit:
-    structural = False
-
-    def __init__(self, entries: dict, label: str = ""):
-        self.entries = dict(entries)
-        self.label = label
-
-    def at(self, field, x: GradedObject) -> GradedMap:
-        try:
-            return self.entries[x]
-        except KeyError:
-            raise CoverageError(
-                f"tabulated unit family {self.label or ''} has no entry for {x}"
-            ) from None
 
 
 def identity_unit() -> StructuralUnit:

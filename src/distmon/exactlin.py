@@ -9,9 +9,13 @@ once and for all:
   ascending order of the first-factor degree ``i``;
 * inside one summand indices are row-major (X index outer, Y index inner).
 
-With that discipline the associator and the unitors are concrete
-permutation matrices, and every identity in this package is decided by
-entrywise scalar equality.
+This module is the only one that knows that layout, and it knows it in
+one form: the offset of each summand in its degree.  Every map whose
+entries depend on it is built here: the associators and unitors, the
+flips X (x) Y -> Y (x) X, the summand scalings of X (x) Y, the collapse
+functor's laxator, and the decoders that name the factor degrees of a
+witness column.  They are concrete monomial matrices, and every identity
+in this package is decided by entrywise scalar equality.
 
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
@@ -129,34 +133,6 @@ def sort_universe(objs: Iterable[GradedObject]) -> tuple[GradedObject, ...]:
     return tuple(sorted(set(objs), key=canonical_key))
 
 
-# ---------------------------------------------------------------------------
-# tensor layout
-
-Label = tuple  # (i, j, a, b) for pairs, (i, j, k, a, b, c) for triples
-
-
-def pair_summands(x: GradedObject, y: GradedObject, n: int) -> list[tuple[int, int]]:
-    """Degree pairs (i, j) with i + j = n, ascending in i."""
-    out = [
-        (i, j)
-        for i in x.degrees
-        for j in y.degrees
-        if x.monoid.add(i, j) == n
-    ]
-    out.sort()
-    return out
-
-
-def pair_basis(x: GradedObject, y: GradedObject, n: int) -> list[Label]:
-    """Basis labels (i, j, a, b) of (X (x) Y)_n in layout order."""
-    labels = []
-    for i, j in pair_summands(x, y, n):
-        for a in range(x.dim(i)):
-            for b in range(y.dim(j)):
-                labels.append((i, j, a, b))
-    return labels
-
-
 @cache
 def tensor_obj(x: GradedObject, y: GradedObject) -> GradedObject:
     if x.monoid != y.monoid:
@@ -167,32 +143,6 @@ def tensor_obj(x: GradedObject, y: GradedObject) -> GradedObject:
             n = x.monoid.add(i, j)
             dims[n] = dims.get(n, 0) + ki * kj
     return GradedObject(x.monoid, tuple(sorted(dims.items())))
-
-
-def triple_basis_left(x: GradedObject, y: GradedObject, z: GradedObject, n: int) -> list[Label]:
-    """Basis labels (i, j, k, a, b, c) of ((X (x) Y) (x) Z)_n in layout order."""
-    xy = tensor_obj(x, y)
-    labels = []
-    for m, k in pair_summands(xy, z, n):
-        for i, j in pair_summands(x, y, m):
-            for a in range(x.dim(i)):
-                for b in range(y.dim(j)):
-                    for c in range(z.dim(k)):
-                        labels.append((i, j, k, a, b, c))
-    return labels
-
-
-def triple_basis_right(x: GradedObject, y: GradedObject, z: GradedObject, n: int) -> list[Label]:
-    """Basis labels (i, j, k, a, b, c) of (X (x) (Y (x) Z))_n in layout order."""
-    yz = tensor_obj(y, z)
-    labels = []
-    for i, m in pair_summands(x, yz, n):
-        for a in range(x.dim(i)):
-            for j, k in pair_summands(y, z, m):
-                for b in range(y.dim(j)):
-                    for c in range(z.dim(k)):
-                        labels.append((i, j, k, a, b, c))
-    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -410,34 +360,26 @@ def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     return _raw_map(g.field, f.source, g.target, out)
 
 
-def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> GradedMap:
-    """``f`` with its grading forgotten: its blocks laid along the diagonal of
-    one degree-0 block ``source -> target``, in ascending degree order.
+# ---------------------------------------------------------------------------
+# tensor layout (see the module docstring); with the grading forgotten, an
+# object's degrees follow one another in ascending order
 
-    ``source`` and ``target`` carry the total dimensions of ``f``'s objects.
-    """
-    fb = dict(f.blocks)
+
+def _starts(obj: GradedObject) -> dict:
+    """degree -> first flat position of that degree's basis in ``obj``."""
     starts, off = {}, 0
-    for d, k in f.target.dims:
+    for d, k in obj.dims:
         starts[d] = off
         off += k
-    cols: list = []
-    for d, k in f.source.dims:
-        block = fb.get(d)
-        if block is None:
-            cols += [()] * k
-            continue
-        r0 = starts[d]
-        cols += [tuple(v if p & 1 else v + r0 for p, v in enumerate(col))
-                 for col in block]
-    return _raw_map(f.field, source, target, {0: tuple(cols)})
+    return starts
 
 
 def _summand_offsets(x: GradedObject, y: GradedObject) -> dict:
     """(i, j) -> (i + j, offset of the summand X_i (x) Y_j in its degree).
 
     Walking i, then j, in ascending order visits the summands of each degree
-    in ascending i, which is the layout order of ``pair_summands``.
+    in ascending i, and each starts where the one before it in that degree
+    ends.
     """
     add = x.monoid.add
     ends: dict = {}
@@ -449,6 +391,34 @@ def _summand_offsets(x: GradedObject, y: GradedObject) -> dict:
             out[(i, j)] = (n, off)
             ends[n] = off + a * b
     return out
+
+
+def _summand_at(x: GradedObject, y: GradedObject, n: int, pos: int) -> tuple:
+    """(i, j, position inside X_i (x) Y_j) of position ``pos`` of (X (x) Y)_n."""
+    for (i, j), (m, off) in _summand_offsets(x, y).items():
+        if m == n and off <= pos < off + x.dim(i) * y.dim(j):
+            return i, j, pos - off
+    raise IndexError(f"position {pos} lies outside degree {n} of {x} (x) {y}")
+
+
+def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> GradedMap:
+    """``f`` with its grading forgotten: its blocks laid along the diagonal of
+    one degree-0 block ``source -> target``, in ascending degree order.
+
+    ``source`` and ``target`` carry the total dimensions of ``f``'s objects.
+    """
+    fb = dict(f.blocks)
+    starts = _starts(f.target)
+    cols: list = []
+    for d, k in f.source.dims:
+        block = fb.get(d)
+        if block is None:
+            cols += [()] * k
+            continue
+        r0 = starts[d]
+        cols += [tuple(v if p & 1 else v + r0 for p, v in enumerate(col))
+                 for col in block]
+    return _raw_map(f.field, source, target, {0: tuple(cols)})
 
 
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -504,9 +474,10 @@ def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> Grad
 
     The basis vector (i, j, k, a, b, c) sits at column
     ``s0 + (p0 + a dy + b) dz + c`` of the source layout and at row
-    ``t0 + a dyz + q0 + b dz + c`` of the target layout, where the offsets
-    ``s0, p0, t0, q0`` place its summands (see ``triple_basis_left`` and
-    ``triple_basis_right`` for the same layouts as label lists).
+    ``t0 + a dyz + q0 + b dz + c`` of the target layout.  Here ``p0`` and
+    ``q0`` are the offsets of X_i (x) Y_j and Y_j (x) Z_k in their
+    degrees, and ``s0`` and ``t0`` those of (X (x) Y)_m (x) Z_k and
+    X_i (x) (Y (x) Z)_m', all from ``_summand_offsets``.
     """
     xy, yz = tensor_obj(x, y), tensor_obj(y, z)
     src, tgt = tensor_obj(xy, z), tensor_obj(x, yz)
@@ -573,21 +544,77 @@ def right_unitor_inv(field, x: GradedObject) -> GradedMap:
 
 
 # ---------------------------------------------------------------------------
+# maps between tensor products that act summand by summand
+
+
+def flip_map(field, x: GradedObject, y: GradedObject,
+             coeff: Callable[[int, int], object]) -> GradedMap:
+    """X (x) Y -> Y (x) X sending (i, j, a, b) to coeff(i, j) (j, i, b, a)."""
+    src, tgt = tensor_obj(x, y), tensor_obj(y, x)
+    back = _summand_offsets(y, x)
+    columns = {n: [None] * k for n, k in src.dims}
+    for (i, j), (n, s0) in _summand_offsets(x, y).items():
+        t0 = back[(j, i)][1]
+        dx, dy = x.dim(i), y.dim(j)
+        v = coeff(i, j)
+        col = columns[n]
+        for a in range(dx):
+            for b in range(dy):
+                col[s0 + a * dy + b] = (t0 + b * dx + a, v)
+    return monomial_map(field, src, tgt, columns)
+
+
+def summand_scaling(field, x: GradedObject, y: GradedObject,
+                    coeff: Callable[[int, int], object]) -> GradedMap:
+    """The endomorphism of X (x) Y acting on X_i (x) Y_j by coeff(i, j)."""
+    xy = tensor_obj(x, y)
+    columns = {n: [None] * k for n, k in xy.dims}
+    for (i, j), (n, s0) in _summand_offsets(x, y).items():
+        v = coeff(i, j)
+        col = columns[n]
+        for r in range(s0, s0 + x.dim(i) * y.dim(j)):
+            col[r] = (r, v)
+    return monomial_map(field, xy, xy, columns)
+
+
+def collapse_laxator(field, x: GradedObject, y: GradedObject,
+                     source: GradedObject, target: GradedObject) -> GradedMap:
+    """The collapse functor's laxator FX (x) FY -> F(X (x) Y): the permutation
+    sending (i, a) (x) (j, b) to (i, j, a, b).
+
+    ``source`` and ``target`` are the one-degree images of the tensor of the
+    collapsed factors and of the collapsed tensor.
+    """
+    xs, ys, ts = _starts(x), _starts(y), _starts(tensor_obj(x, y))
+    width = y.total_dim
+    rows = [0] * (x.total_dim * width)
+    for (i, j), (n, s0) in _summand_offsets(x, y).items():
+        t0 = ts[n] + s0
+        dx, dy = x.dim(i), y.dim(j)
+        for a in range(dx):
+            c0 = (xs[i] + a) * width + ys[j]
+            for b in range(dy):
+                rows[c0 + b] = t0 + a * dy + b
+    one = field.one
+    return monomial_map(field, source, target, {0: [(r, one) for r in rows]})
+
+
+# ---------------------------------------------------------------------------
 # witness decoders
 
 
 def pair_decoder(x: GradedObject, y: GradedObject):
     """Column -> (i, j) factor degrees for a map out of X (x) Y."""
     def decode(degree: int, col: int):
-        i, j, _, _ = pair_basis(x, y, degree)[col]
-        return (i, j)
+        return _summand_at(x, y, degree, col)[:2]
     return decode
 
 
 def triple_decoder_left(x: GradedObject, y: GradedObject, z: GradedObject):
     """Column -> (i, j, k) for a map out of (X (x) Y) (x) Z."""
     def decode(degree: int, col: int):
-        i, j, k, _, _, _ = triple_basis_left(x, y, z, degree)[col]
+        m, k, p = _summand_at(tensor_obj(x, y), z, degree, col)
+        i, j, _ = _summand_at(x, y, m, p // z.dim(k))
         return (i, j, k)
     return decode
 
@@ -595,7 +622,9 @@ def triple_decoder_left(x: GradedObject, y: GradedObject, z: GradedObject):
 def triple_decoder_right(x: GradedObject, y: GradedObject, z: GradedObject):
     """Column -> (i, j, k) for a map out of X (x) (Y (x) Z)."""
     def decode(degree: int, col: int):
-        i, j, k, _, _, _ = triple_basis_right(x, y, z, degree)[col]
+        yz = tensor_obj(y, z)
+        i, m, p = _summand_at(x, yz, degree, col)
+        j, k, _ = _summand_at(y, z, m, p % yz.dim(m))
         return (i, j, k)
     return decode
 

@@ -27,10 +27,10 @@ from typing import Callable
 
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, TRIVIAL, associator, collapse_map, compose,
-    identity, left_unitor, monomial_map, pair_basis, pair_decoder,
+    GradedMap, GradedObject, TRIVIAL, associator, collapse_laxator,
+    collapse_map, compose, identity, left_unitor, pair_decoder,
     right_unitor, sort_universe, tensor_map, tensor_obj,
-    triple_decoder_left, unit_object, zero_map,
+    triple_decoder_left, unit_object,
 )
 from .distortion import DistortedStructure, identity_unit, symmetric_braiding
 from .reports import CheckBudget, CheckReport, Phase, Side, decide
@@ -42,7 +42,6 @@ class LaxFunctor:
     name: str
     source: DistortedStructure
     target: DistortedStructure
-    degree_map: Callable[[int], int]
     obj: Callable[[GradedObject], GradedObject]
     mor: Callable[[GradedMap], GradedMap]
     mu: Callable[[GradedObject, GradedObject], GradedMap]
@@ -56,13 +55,17 @@ def identity_functor(ds: DistortedStructure) -> LaxFunctor:
         name="Id",
         source=ds,
         target=ds,
-        degree_map=lambda d: d,
         obj=lambda x: x,
         mor=lambda f: f,
         mu=lambda x, y: identity(field, tensor_obj(x, y)),
         mu0=identity(field, ds.unit),
         info=("identity",),
     )
+
+
+@cache  # keyed by value, like tensor_obj, so no functor pins its own copies
+def _truncated(x: GradedObject, bound: int) -> GradedObject:
+    return GradedObject(x.monoid, tuple((d, k) for d, k in x.dims if d <= bound))
 
 
 def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
@@ -74,7 +77,7 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
     def obj(x: GradedObject) -> GradedObject:
         if not x.dims or x.dims[-1][0] <= bound:
             return x
-        return GradedObject(x.monoid, tuple((d, k) for d, k in x.dims if d <= bound))
+        return _truncated(x, bound)
 
     def mor(f: GradedMap) -> GradedMap:
         blocks = tuple((d, m) for d, m in f.blocks if d <= bound)
@@ -90,7 +93,6 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
         name=f"tau{bound}",
         source=ds,
         target=ds,
-        degree_map=lambda d: d,
         obj=obj,
         mor=mor,
         mu=mu,
@@ -99,12 +101,11 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
     )
 
 
-def collapse_functor(ds: DistortedStructure,
-                     target: DistortedStructure = None) -> LaxFunctor:
+def collapse_functor(ds: DistortedStructure) -> LaxFunctor:
     """Forget the grading: total dimension in degree 0, block-diagonal maps.
 
-    The default target carries the symmetric flip and the identity unit
-    distortion on the trivially graded images of the source universe.
+    The target carries the symmetric flip and the identity unit distortion
+    on the trivially graded images of the source universe.
     """
     field = ds.field
 
@@ -115,47 +116,23 @@ def collapse_functor(ds: DistortedStructure,
     def obj(x: GradedObject) -> GradedObject:
         return image(x.total_dim)
 
-    def _positions(x: GradedObject) -> dict:
-        pos = {}
-        p = 0
-        for d, k in x.dims:
-            for a in range(k):
-                pos[(d, a)] = p
-                p += 1
-        return pos
-
     def mor(f: GradedMap) -> GradedMap:
         return collapse_map(f, obj(f.source), obj(f.target))
 
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
-        src = tensor_obj(obj(x), obj(y))
-        xy = tensor_obj(x, y)
-        tgt = obj(xy)
-        if src.total_dim == 0:
-            return zero_map(field, src, tgt)
-        xpos, ypos = _positions(x), _positions(y)
-        tpos = {}
-        p = 0
-        for n in xy.degrees:
-            for lab in pair_basis(x, y, n):
-                tpos[lab] = p
-                p += 1
-        one = field.one
-        column = [(tpos[(i, j, a, b)], one) for i, a in xpos for j, b in ypos]
-        return monomial_map(field, src, tgt, {0: column})
+        return collapse_laxator(field, x, y, tensor_obj(obj(x), obj(y)),
+                                obj(tensor_obj(x, y)))
 
-    if target is None:
-        images = [obj(x) for x in ds.universe] + [unit_object(TRIVIAL)]
-        target = DistortedStructure(
-            field, TRIVIAL, sort_universe(images),
-            symmetric_braiding(), identity_unit(),
-        )
+    images = [obj(x) for x in ds.universe] + [unit_object(TRIVIAL)]
+    target = DistortedStructure(
+        field, TRIVIAL, sort_universe(images),
+        symmetric_braiding(), identity_unit(),
+    )
 
     return LaxFunctor(
         name="U",
         source=ds,
         target=target,
-        degree_map=lambda d: 0,
         obj=obj,
         mor=mor,
         mu=mu,
@@ -183,7 +160,6 @@ def compose_lax(g: LaxFunctor, f: LaxFunctor) -> LaxFunctor:
         name=f"{g.name}*{f.name}",
         source=f.source,
         target=g.target,
-        degree_map=lambda d: g.degree_map(f.degree_map(d)),
         obj=lambda x: g.obj(f.obj(x)),
         mor=lambda m: g.mor(f.mor(m)),
         mu=mu,
@@ -261,9 +237,10 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
             us = map_batch(field, x, xp, budget, sid + ":u")
             vs = map_batch(field, y, yp, budget, sid + ":v")
             decode = pair_decoder(func.obj(x), func.obj(y))
+            mu, mu_p = func.mu(x, y), func.mu(xp, yp)
             yield (x, y, xp, yp), (
-                Side(compose(func.mu(xp, yp), tensor_map(func.mor(u), func.mor(v))),
-                     compose(func.mor(tensor_map(u, v)), func.mu(x, y)), decode)
+                Side(compose(mu_p, tensor_map(func.mor(u), func.mor(v))),
+                     compose(func.mor(tensor_map(u, v)), mu), decode)
                 for u, v in zip(us, vs))
 
     return decide("laxator_naturality",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .errors import MonoidMismatch, ObjectMismatch
 from .exactlin import (
     GradedMap, GradedObject, associator, associator_inv, compose,
-    identity, mat_rank, monomial_map, pair_basis, pair_decoder, sort_universe,
+    identity, mat_rank, pair_decoder, sort_universe, summand_scaling,
     tensor_map, tensor_obj, triple_decoder_left, triple_decoder_right,
     unit_object,
 )
@@ -80,35 +80,13 @@ class StructuralIdempotent:
         key = (field, x, y)
         got = self._memo.get(key)
         if got is None:
-            xy = tensor_obj(x, y)
-            columns = {
-                n: [(c, self.coefficient(field, i, j))
-                    for c, (i, j, _, _) in enumerate(pair_basis(x, y, n))]
-                for n in xy.degrees
-            }
-            got = monomial_map(field, xy, xy, columns)
+            got = summand_scaling(field, x, y,
+                                  lambda i, j: self.coefficient(field, i, j))
             self._memo[key] = got
         return got
 
     def __repr__(self):
         return f"StructuralIdempotent(zero_pairs={sorted(self.zero_pairs)})"
-
-
-class TabulatedIdempotent:
-    structural = False
-
-    def __init__(self, entries: dict, label: str = ""):
-        self.entries = dict(entries)
-        self.label = label
-
-    def at(self, field, x: GradedObject, y: GradedObject) -> GradedMap:
-        from .errors import CoverageError
-        try:
-            return self.entries[(x, y)]
-        except KeyError:
-            raise CoverageError(
-                f"tabulated idempotent {self.label or ''} has no entry for ({x}, {y})"
-            ) from None
 
 
 def identity_idempotent() -> StructuralIdempotent:

@@ -1,21 +1,28 @@
-"""The column-block kernels against a dense reference kept here.
+"""The column-block kernels and the tensor layout against a dense
+reference kept here.
 
 Maps are drawn dense, monomial (at most one entry per column) or with
 explicit all-zero blocks, over Q and over F_2147483647.  Every kernel
 result must equal the dense reference and must be stored canonically:
 columns list their nonzero entries in ascending row order, and no block
-without a nonzero entry is kept.
+without a nonzero entry is kept.  The reference spells the tensor layout
+out as lists of basis labels; the package itself knows it only as
+summand offsets.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from distmon import (
     NAT, PARITY, TRIVIAL, GradedObject, PrimeField, associator, associator_inv,
-    collapse_map, compose, graded_map, identity, pair_basis, tensor_map,
-    tensor_obj, triple_basis_left, triple_basis_right,
+    collapse_map, compose, graded_map, identity, tensor_map, tensor_obj,
+)
+from distmon.exactlin import (
+    collapse_laxator, flip_map, pair_decoder, summand_scaling,
+    triple_decoder_left, triple_decoder_right,
 )
 from distmon.fields import RATIONAL
 from distmon.reports import first_difference
@@ -33,6 +40,46 @@ def palette(field):
         return [Fraction(0), Fraction(1), Fraction(3, 3), Fraction(-1),
                 Fraction(2), Fraction(1, 2)]
     return [0, 1, field.p - 1, 2, (field.p + 1) // 2]
+
+
+# ---------------------------------------------------------------------------
+# the tensor layout as label lists
+
+
+def pair_summands(x, y, n):
+    """Degree pairs (i, j) with i + j = n, ascending in i."""
+    return sorted((i, j) for i in x.degrees for j in y.degrees
+                  if x.monoid.add(i, j) == n)
+
+
+def pair_basis(x, y, n):
+    """Basis labels (i, j, a, b) of (X (x) Y)_n in layout order."""
+    return [(i, j, a, b)
+            for i, j in pair_summands(x, y, n)
+            for a in range(x.dim(i))
+            for b in range(y.dim(j))]
+
+
+def triple_basis_left(x, y, z, n):
+    """Basis labels (i, j, k, a, b, c) of ((X (x) Y) (x) Z)_n in layout order."""
+    xy = tensor_obj(x, y)
+    return [(i, j, k, a, b, c)
+            for m, k in pair_summands(xy, z, n)
+            for i, j in pair_summands(x, y, m)
+            for a in range(x.dim(i))
+            for b in range(y.dim(j))
+            for c in range(z.dim(k))]
+
+
+def triple_basis_right(x, y, z, n):
+    """Basis labels (i, j, k, a, b, c) of (X (x) (Y (x) Z))_n in layout order."""
+    yz = tensor_obj(y, z)
+    return [(i, j, k, a, b, c)
+            for i, m in pair_summands(x, yz, n)
+            for a in range(x.dim(i))
+            for j, k in pair_summands(y, z, m)
+            for b in range(y.dim(j))
+            for c in range(z.dim(k))]
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +140,30 @@ def ref_associator(field, x, y, z):
         out[n] = [[field.one if lab == col else field.zero for col in cols]
                   for lab in rows]
     return out
+
+
+def ref_summand_map(field, x, y, target_basis, relabel, coeff):
+    """X (x) Y -> the tensor whose degree-n labels ``target_basis(n)`` lists,
+    sending label (i, j, a, b) to coeff(i, j) times ``relabel`` of it."""
+    out = {}
+    for n in tensor_obj(x, y).degrees:
+        cols = pair_basis(x, y, n)
+        rows = target_basis(n)
+        block = zero_rows(field, len(rows), len(cols))
+        for c, lab in enumerate(cols):
+            block[rows.index(relabel(lab))][c] = coeff(*lab[:2])
+        out[n] = block
+    return drop_zero(field, out)
+
+
+def ref_collapse_laxator(field, x, y):
+    """(i, a) (x) (j, b) -> (i, j, a, b), both sides with degrees forgotten."""
+    xs = [(i, a) for i, k in x.dims for a in range(k)]
+    ys = [(j, b) for j, k in y.dims for b in range(k)]
+    rows = [lab for n in tensor_obj(x, y).degrees for lab in pair_basis(x, y, n)]
+    block = [[field.one if lab == (i, j, a, b) else field.zero
+              for (i, a), (j, b) in product(xs, ys)] for lab in rows]
+    return drop_zero(field, {0: block})
 
 
 def ref_first_difference(field, left, right):
@@ -244,3 +315,43 @@ def test_collapse_map_lays_blocks_along_the_diagonal(data, field, monoid):
                 block[r0 + r][c0 + c] = v
         r0, c0 = r0 + y.dim(d), c0 + x.dim(d)
     assert dense(got) == drop_zero(field, {0: block})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_layout_maps_match_label_lists(data, field, monoid):
+    x, y, z = objects(data.draw, monoid, 3)
+    table = {(i, j): data.draw(st.sampled_from(palette(field)))
+             for i in x.degrees for j in y.degrees}
+
+    def coeff(i, j):
+        return table[(i, j)]
+
+    flip = flip_map(field, x, y, coeff)
+    assert_canonical(flip)
+    assert dense(flip) == ref_summand_map(
+        field, x, y, lambda n: pair_basis(y, x, n),
+        lambda lab: (lab[1], lab[0], lab[3], lab[2]), coeff)
+    scaling = summand_scaling(field, x, y, coeff)
+    assert_canonical(scaling)
+    assert dense(scaling) == ref_summand_map(
+        field, x, y, lambda n: pair_basis(x, y, n), lambda lab: lab, coeff)
+
+    xy = tensor_obj(x, y)
+    fx = GradedObject(TRIVIAL, ((0, x.total_dim),))
+    fy = GradedObject(TRIVIAL, ((0, y.total_dim),))
+    mu = collapse_laxator(field, x, y, tensor_obj(fx, fy),
+                          GradedObject(TRIVIAL, ((0, xy.total_dim),)))
+    assert_canonical(mu)
+    assert dense(mu) == ref_collapse_laxator(field, x, y)
+
+    decode = pair_decoder(x, y)
+    for n in xy.degrees:
+        for c, lab in enumerate(pair_basis(x, y, n)):
+            assert decode(n, c) == lab[:2]
+    for decoder, labels in ((triple_decoder_left, triple_basis_left),
+                            (triple_decoder_right, triple_basis_right)):
+        decode = decoder(x, y, z)
+        for n in tensor_obj(xy, z).degrees:
+            for c, lab in enumerate(labels(x, y, z, n)):
+                assert decode(n, c) == lab[:3]

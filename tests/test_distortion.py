@@ -11,7 +11,7 @@ from distmon import (
     parity_projector, symmetric_braiding, tabulate_binary, tensor_obj, twist,
     unit_object,
 )
-from distmon.distortion import TabulatedBinary, TabulatedUnit
+from distmon.distortion import Tabulated
 from distmon.errors import BadUnitScalar, CoverageError, MonoidMismatch
 from distmon.fields import PrimeField
 from distmon.reports import CheckBudget
@@ -160,7 +160,7 @@ def test_D1_scaled_entry_fails_with_pair_witness():
 
 
 def test_D1_missing_pair_raises_coverage():
-    fam = TabulatedBinary({}, "empty")
+    fam = Tabulated({}, "empty")
     with pytest.raises(CoverageError):
         check_D1(parity_ds(fam), BUDGET)
 
@@ -189,7 +189,7 @@ def test_D2_catches_bad_unit_component():
     unit = unit_object(PARITY)
     entries = {x: identity(Q, x) for x in PARITY_UNIVERSE}
     entries[unit] = graded_map(Q, unit, unit, {0: [[Fraction(2)]]})
-    lam = TabulatedUnit(entries)
+    lam = Tabulated(entries)
     rep = check_D2(parity_ds(symmetric_braiding(), lam), BUDGET)
     assert rep.verdict == "fail"
     assert rep.witness.objects == (unit,)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from distmon import (
     GradedObject, NAT, PARITY, associator, associator_inv,
     check_base, compose, generate_universe, graded_map, identity,
-    left_unitor, left_unitor_inv, pair_summands, right_unitor,
+    left_unitor, left_unitor_inv, right_unitor,
     right_unitor_inv, tensor_map, tensor_obj, unit_object, zero_map,
 )
 from distmon.errors import MonoidMismatch, ObjectMismatch
+from distmon.exactlin import pair_decoder
 from distmon.reports import CheckBudget
 
 from conftest import Q, map_strategy, obj, object_strategy, qmap
@@ -111,8 +112,9 @@ def test_tensor_obj_monoid_mismatch():
 
 def test_parity_pair_summands():
     x = obj(PARITY, {0: 1, 1: 1})
-    assert pair_summands(x, x, 0) == [(0, 0), (1, 1)]
-    assert pair_summands(x, x, 1) == [(0, 1), (1, 0)]
+    decode = pair_decoder(x, x)
+    assert [decode(0, c) for c in range(2)] == [(0, 0), (1, 1)]
+    assert [decode(1, c) for c in range(2)] == [(0, 1), (1, 0)]
 
 
 # ---------------------------------------------------------------------------

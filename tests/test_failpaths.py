@@ -25,10 +25,9 @@ from distmon import (
     projection_transformation, scalar_transformation, symmetric_braiding,
     tabulate_binary, tensor_obj, truncation_functor, twist, unit_object,
 )
-from distmon.distortion import TabulatedUnit
+from distmon.distortion import Tabulated
 from distmon.exactlin import associator, identity
 from distmon.reports import CheckBudget
-from distmon.twist import TabulatedIdempotent
 
 from conftest import Q, obj
 
@@ -157,7 +156,7 @@ def _d1_tabulated():
 def _d2_tabulated_unit():
     entries = {x: identity(Q, x) for x in PARITY_U}
     entries[PUNIT] = graded_map(Q, PUNIT, PUNIT, {0: [[Fraction(2)]]})
-    return check_D2(parity_ds(symmetric_braiding(), TabulatedUnit(entries)),
+    return check_D2(parity_ds(symmetric_braiding(), Tabulated(entries)),
                     BUDGET)
 
 
@@ -178,7 +177,7 @@ def _projector_entries():
 def _e0_tabulated():
     entries = _projector_entries()
     entries[(ODD, PUNIT)] = doubled(entries[(ODD, PUNIT)])
-    return check_idempotent_axiom(Q, TabulatedIdempotent(entries), "E0",
+    return check_idempotent_axiom(Q, Tabulated(entries), "E0",
                                   PARITY_U, BUDGET)
 
 
@@ -186,7 +185,7 @@ def _e0_tabulated_naturality():
     # idempotent everywhere, but the (ODD, ODD) entry is the identity
     entries = _projector_entries()
     entries[(ODD, ODD)] = identity(Q, tensor_obj(ODD, ODD))
-    return check_idempotent_axiom(Q, TabulatedIdempotent(entries), "E0",
+    return check_idempotent_axiom(Q, Tabulated(entries), "E0",
                                   PARITY_U, BUDGET)
 
 
@@ -194,7 +193,7 @@ def _e1_tabulated():
     entries = _projector_entries()
     xy = tensor_obj(ODD, PUNIT)
     entries[(ODD, PUNIT)] = graded_map(Q, xy, xy, {1: [[Fraction(0)]]})
-    return check_idempotent_axiom(Q, TabulatedIdempotent(entries), "E1",
+    return check_idempotent_axiom(Q, Tabulated(entries), "E1",
                                   PARITY_U, BUDGET)
 
 

@@ -11,7 +11,8 @@ from distmon import (
     tensor_obj, twist, unit_object,
 )
 from distmon.errors import MonoidMismatch, ObjectMismatch
-from distmon.twist import AXIOMS, StructuralIdempotent, TabulatedIdempotent
+from distmon.distortion import Tabulated
+from distmon.twist import AXIOMS, StructuralIdempotent
 from distmon.reports import CheckBudget
 
 from conftest import Q, obj
@@ -146,7 +147,7 @@ def test_tabulated_projector_matches_structural():
     entries = {
         (x, y): e.at(Q, x, y) for x, y in product(UNIVERSE, repeat=2)
     }
-    tab = TabulatedIdempotent(entries)
+    tab = Tabulated(entries)
     assert run_axiom(tab, "E0").passed
     assert run_axiom(tab, "E1").passed
 
@@ -158,7 +159,7 @@ def test_tabulated_broken_normalization_fails_E1():
     }
     xy = tensor_obj(ODD, UNIT)
     entries[(ODD, UNIT)] = graded_map(Q, xy, xy, {1: [[Fraction(0)]]})
-    rep = run_axiom(TabulatedIdempotent(entries), "E1")
+    rep = run_axiom(Tabulated(entries), "E1")
     assert rep.verdict == "fail"
     assert rep.witness.objects == (ODD, UNIT)
 
@@ -196,7 +197,7 @@ def test_twist_of_tabulated_composes():
     entries = {
         (x, y): e.at(Q, x, y) for x, y in product(UNIVERSE, repeat=2)
     }
-    composed = twist(beta, TabulatedIdempotent(entries))
+    composed = twist(beta, Tabulated(entries))
     structural = twist(beta, e)
     for x, y in product(UNIVERSE, repeat=2):
         assert composed.at(Q, x, y) == structural.at(Q, x, y)
