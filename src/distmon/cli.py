@@ -41,8 +41,8 @@ def _cmd_search(args) -> int:
     braiding = koszul_braiding() if args.braiding == "koszul" \
         else symmetric_braiding()
     universe = default_universe(monoid)
-    budget = CheckBudget(seed=args.seed)
-    report = search_structural_idempotents(RATIONAL, braiding, universe, budget)
+    report = search_structural_idempotents(RATIONAL, braiding, universe,
+                                           CheckBudget())
     for row in report.rows:
         verdicts = " ".join(
             f"{r.axiom}={r.verdict}" for r in row.reports
@@ -83,7 +83,6 @@ def main(argv=None) -> int:
     p_search.add_argument("--grading", choices=("parity",), default="parity")
     p_search.add_argument("--braiding", choices=("koszul", "symmetric"),
                           default="koszul")
-    p_search.add_argument("--seed", type=int, default=0)
     p_search.set_defaults(func=_cmd_search)
 
     args = parser.parse_args(argv)

@@ -15,7 +15,9 @@ entries depend on it is built here: the associators and unitors, the
 flips X (x) Y -> Y (x) X, the summand scalings of X (x) Y, the collapse
 functor's laxator, and the decoders that name the factor degrees of a
 witness column.  They are concrete monomial matrices, and every identity
-in this package is decided by entrywise scalar equality.
+in this package is decided by entrywise scalar equality.  The
+elementary maps, one entry 1 each, are the basis over which naturality is
+decided.
 
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
@@ -332,6 +334,19 @@ def zero_map(field, source: GradedObject, target: GradedObject) -> GradedMap:
     if source.monoid != target.monoid:
         raise MonoidMismatch("map endpoints use different grading monoids")
     return GradedMap(field, source, target, ())
+
+
+def elementary_maps(field, source: GradedObject,
+                    target: GradedObject) -> list[GradedMap]:
+    """The basis of the degree-preserving maps ``source -> target``: one map
+    per (degree d, row r, column c) with the single entry 1 there, in
+    ascending (d, r, c) order; ``[]`` when the Hom space is zero."""
+    zero, one = field.zero, field.one
+    return [monomial_map(field, source, target,
+                         {d: [(r, one if k == c else zero) for k in range(n)]})
+            for d, n in source.dims
+            for r in range(target.dim(d))
+            for c in range(n)]
 
 
 def _identity_blocks(field, x: GradedObject) -> tuple:

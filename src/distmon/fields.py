@@ -35,9 +35,6 @@ class Rationals:
     zero = Fraction(0)
     one = Fraction(1)
 
-    # entries used for deterministic morphism sampling
-    palette = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
-
     def add(self, a, b):
         return a + b
 
@@ -69,9 +66,6 @@ class Rationals:
 
     def fmt(self, a) -> str:
         return str(a)
-
-    def sample_scalar(self, r: int):
-        return self.palette[r % len(self.palette)]
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -132,9 +126,6 @@ class PrimeField:
 
     def fmt(self, a) -> str:
         return str(a % self.p)
-
-    def sample_scalar(self, r: int):
-        return r % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

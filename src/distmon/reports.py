@@ -4,7 +4,8 @@ A checker states each quantifier as a ``Phase`` of lazy instances (an
 object tuple and its ``Side`` identities); ``decide`` is the one loop that
 runs them.  It takes at most a phase's ``cap`` instances, counts every
 instance decided (``object_tuples``, the failing one included) and every
-side of a sampled phase (``sampled_maps``), and builds the verdict.
+side of a map-quantified phase (``sampled_maps``: the pairs of elementary
+basis maps on which naturality was decided), and builds the verdict.
 
 A failing check always carries a complete witness: the object tuple, the
 degree indices of the first differing basis column, and both offending
@@ -21,15 +22,17 @@ from typing import Callable, Iterable, Optional
 
 @dataclass(frozen=True)
 class CheckBudget:
-    """Caps for quantifier enumeration and morphism sampling."""
+    """The cap on the instances of each check's largest quantifier."""
 
     max_object_tuples: int = 4096
-    sample_maps: int = 3
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class Coverage:
+    """Instances decided and, for the naturality checks, the pairs of
+    elementary basis maps decided (``sampled_maps``, kept under the name the
+    reports use)."""
+
     object_tuples: int
     sampled_maps: int = 0
     note: Optional[str] = None
@@ -132,7 +135,8 @@ class Side:
 class Phase:
     """One quantifier: at most ``cap`` of its lazy ``(objects, sides)``
     instances are taken; ``note`` labels a failure in the phase, and in a
-    ``sampled`` phase every side evaluated counts as a sampled map pair."""
+    ``sampled`` phase, one quantified over pairs of basis maps, every side
+    evaluated counts in ``sampled_maps``."""
 
     instances: Iterable
     cap: Optional[int] = None

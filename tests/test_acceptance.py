@@ -28,7 +28,7 @@ from distmon.twist import scalar_axiom_sides
 
 from conftest import obj
 
-BUDGET = CheckBudget(sample_maps=3, seed=20260811)
+BUDGET = CheckBudget()
 
 PARITY_UNIVERSE = default_universe(PARITY)
 NAT_UNIVERSE = default_universe(NAT)

@@ -7,7 +7,8 @@ result must equal the dense reference and must be stored canonically:
 columns list their nonzero entries in ascending row order, and no block
 without a nonzero entry is kept.  The reference spells the tensor layout
 out as lists of basis labels; the package itself knows it only as
-summand offsets.
+summand offsets.  The elementary maps must be the entry basis of every
+Hom space, since naturality is decided on them.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from distmon import (
     collapse_map, compose, graded_map, identity, tensor_map, tensor_obj,
 )
 from distmon.exactlin import (
-    collapse_laxator, flip_map, pair_decoder, summand_scaling,
+    collapse_laxator, elementary_maps, flip_map, pair_decoder, summand_scaling,
     triple_decoder_left, triple_decoder_right,
 )
 from distmon.fields import RATIONAL
@@ -315,6 +316,34 @@ def test_collapse_map_lays_blocks_along_the_diagonal(data, field, monoid):
                 block[r0 + r][c0 + c] = v
         r0, c0 = r0 + y.dim(d), c0 + x.dim(d)
     assert dense(got) == drop_zero(field, {0: block})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), st.sampled_from([NAT, PARITY, TRIVIAL]))
+def test_elementary_maps_are_the_entry_basis(data, field, monoid):
+    x, y = objects(data.draw, monoid, 2)
+    basis = elementary_maps(field, x, y)
+    assert len(basis) == sum(k * y.dim(d) for d, k in x.dims)
+    spots = []
+    for e in basis:
+        assert_canonical(e)
+        entries = [(d, r, c, v) for d, rows in dense(e).items()
+                   for r, row in enumerate(rows) for c, v in enumerate(row)
+                   if v != field.zero]
+        assert len(entries) == 1 and entries[0][3] == field.one
+        spots.append(entries[0][:3])
+    assert spots == sorted(set(spots))
+    f = data.draw(graded_maps(field, x, y))
+    fd = dense(f)
+    rebuilt = {d: zero_rows(field, y.dim(d), k) for d, k in x.dims if y.dim(d)}
+    for e, (d, r, c) in zip(basis, spots):
+        coeff = fd[d][r][c] if d in fd else field.zero
+        for dd, rows in dense(e).items():
+            for rr, row in enumerate(rows):
+                for cc, v in enumerate(row):
+                    rebuilt[dd][rr][cc] = field.add(rebuilt[dd][rr][cc],
+                                                    field.mul(coeff, v))
+    assert drop_zero(field, rebuilt) == fd
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ from distmon.reports import CheckBudget
 
 from conftest import Q, obj
 
-BUDGET = CheckBudget(sample_maps=2, seed=7)
+BUDGET = CheckBudget()
 
 PARITY_UNIVERSE = generate_universe(PARITY, 1, 1, 2)
 NAT_UNIVERSE = generate_universe(NAT, 2, 1, 2)
@@ -165,9 +165,23 @@ def test_D1_missing_pair_raises_coverage():
         check_D1(parity_ds(fam), BUDGET)
 
 
+def test_D1_zero_hom_quadruple_counts_a_tuple_and_no_map():
+    # Hom({0:1}, {1:1}) is zero, so (a, a, a, b) is decided with no map pair
+    a, b = obj(NAT, {0: 1}), obj(NAT, {1: 1})
+    ds = DistortedStructure(Q, NAT, [a, b], symmetric_braiding(), identity_unit())
+
+    def coverage(cap):
+        cov = check_D1(ds, CheckBudget(max_object_tuples=cap)).coverage
+        return cov.object_tuples, cov.sampled_maps
+
+    assert coverage(1) == (1, 1)
+    assert coverage(2) == (2, 1)
+    assert coverage(16) == (16, 4)
+
+
 def test_D1_budget_caps_tuples():
     rep = check_D1(parity_ds(koszul_braiding()),
-                   CheckBudget(max_object_tuples=10, sample_maps=1, seed=0))
+                   CheckBudget(max_object_tuples=10))
     assert rep.coverage.object_tuples == 10
 
 

@@ -57,8 +57,11 @@ def test_field_equality_and_hash():
     assert hash(PrimeField(3)) == hash(PrimeField(3))
 
 
-@given(st.sampled_from(RATIONAL.palette), st.sampled_from(RATIONAL.palette),
-       st.sampled_from(RATIONAL.palette))
+PALETTE = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+
+
+@given(st.sampled_from(PALETTE), st.sampled_from(PALETTE),
+       st.sampled_from(PALETTE))
 def test_rational_field_laws(a, b, c):
     f = RATIONAL
     assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
@@ -76,8 +79,3 @@ def test_prime_field_laws(a, b, c):
     if a % 7:
         assert f.mul(a, f.inv(a)) == f.one
 
-
-def test_sample_scalars_land_in_palette():
-    for r in range(16):
-        assert RATIONAL.sample_scalar(r) in RATIONAL.palette
-        assert 0 <= PrimeField(5).sample_scalar(r) < 5

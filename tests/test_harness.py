@@ -12,7 +12,6 @@ from distmon import (
 from distmon.errors import ParseError, ValidationError
 from distmon.harness import scenario_hash
 from distmon.reports import CheckBudget
-from distmon.sampling import fnv1a64, mix64, sampled_map, stream_value
 from distmon import cli
 
 from conftest import Q, obj
@@ -240,30 +239,41 @@ def test_seed_changes_no_verdict():
     assert verdicts(base) == verdicts(other)
 
 
+NATURALITY_DOC = {
+    "field": "rational", "grading": "parity",
+    "universe": {"max_degree": 1, "max_dim": 1, "max_support": 2},
+    "sigma": {"kind": "twist", "braiding": {"kind": "koszul"},
+              "idempotent": {"kind": "parity_projector"}},
+    "braiding": {"kind": "koszul"}, "idempotent": {"kind": "parity_projector"},
+    "functors": [{"name": "U", "kind": "collapse"}],
+    "checks": ["D1", "E0", "laxator_naturality", "E2L"],
+}
+
+
+def test_seed_and_samples_change_no_report_byte_but_the_echo():
+    # naturality is decided on elementary maps, so neither key reaches a
+    # check; the JSON report echoes the seed and hashes the document
+    texts, docs = set(), set()
+    for seed, samples in ((1, 3), (2, 1), (99, 5)):
+        sc = scenario_from_dict(dict(NATURALITY_DOC, seed=seed, samples=samples))
+        reports = run_suite(sc)
+        texts.add(emit_report(sc, reports, "text"))
+        doc = json.loads(emit_report(sc, reports, "json"))
+        assert doc.pop("seed") == seed
+        assert doc.pop("scenario_hash") == scenario_hash(sc)
+        docs.add(json.dumps(doc, sort_keys=True))
+    assert len(texts) == 1 and len(docs) == 1
+    text = texts.pop()
+    assert "[PASS] D1  tuples=81 maps=64" in text
+    assert "[PASS] laxator_naturality[U]  tuples=81 maps=64" in text
+    assert "[FAIL] E2L" in text
+
+
 def test_scenario_hash_tracks_document():
     a = scenario_from_dict(minimal_doc())
     b = scenario_from_dict(minimal_doc(seed=8))
     assert scenario_hash(a) != scenario_hash(b)
     assert scenario_hash(a) == scenario_hash(scenario_from_dict(minimal_doc()))
-
-
-def test_stream_value_is_pure_and_pinned():
-    assert stream_value(7, "D1:0:f", 0) == stream_value(7, "D1:0:f", 0)
-    assert stream_value(7, "D1:0:f", 0) != stream_value(7, "D1:0:g", 0)
-    assert stream_value(7, "D1:0:f", 0) != stream_value(8, "D1:0:f", 0)
-    # regression pins: the first split-mix output for seed 0 is the
-    # published reference vector, FNV-1a of "" is the offset basis
-    assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-
-
-def test_sampled_map_deterministic():
-    x, y = obj(NAT, {0: 2, 1: 1}), obj(NAT, {0: 1, 1: 2})
-    a = sampled_map(Q, x, y, 5, "s")
-    b = sampled_map(Q, x, y, 5, "s")
-    c = sampled_map(Q, x, y, 6, "s")
-    assert a == b
-    assert a != c
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from distmon import (
     tensor_obj, truncation_functor,
 )
 from distmon.errors import MonoidMismatch, StructureMismatch
+from distmon.exactlin import elementary_maps
 from distmon.reports import CheckBudget
-from distmon.sampling import sampled_map
 
 from conftest import Q, obj
 
-BUDGET = CheckBudget(sample_maps=2, seed=5)
+BUDGET = CheckBudget()
 NAT_UNIVERSE = generate_universe(NAT, 2, 1, 2)
 
 
@@ -279,14 +279,55 @@ def test_functoriality_of_morphism_maps():
     x, y, z = ds.universe[3], ds.universe[4], ds.universe[5]
     for func in (truncation_functor(ds, 1), collapse_functor(ds)):
         assert func.mor(identity(Q, x)) == identity(Q, func.obj(x))
-        f = sampled_map(Q, x, y, 3, "functoriality:f")
-        g = sampled_map(Q, y, z, 3, "functoriality:g")
-        assert func.mor(compose(g, f)) == compose(func.mor(g), func.mor(f))
+        for f, g in product(elementary_maps(Q, x, y), elementary_maps(Q, y, z)):
+            assert func.mor(compose(g, f)) == compose(func.mor(g), func.mor(f))
+
+
+def _entries(m):
+    """Nonzero entries {(degree, row, col): value} of a map's dense blocks."""
+    return {(d, r, c): v for d, rows in m.dense_blocks()
+            for r, row in enumerate(rows) for c, v in enumerate(row) if v}
+
+
+def test_morphism_maps_are_linear():
+    # the premise of deciding naturality on elementary maps: F.mor of a map
+    # is the sum of F.mor of its basis maps, weighted by its entries
+    ds = nat_ds()
+    t1 = truncation_functor(ds, 1)
+    u = collapse_functor(ds)
+    for func in (identity_functor(ds), t1, u, compose_lax(u, t1)):
+        for x, y in product(ds.universe, repeat=2):
+            basis = elementary_maps(Q, x, y)
+            f = graded_map(Q, x, y, {
+                d: [[Fraction(2 + r + 3 * c, 1 + d) for c in range(k)]
+                    for r in range(y.dim(d))]
+                for d, k in x.dims if y.dim(d)})
+            coeffs = _entries(f)
+            assert len(coeffs) == len(basis)
+            combined: dict = {}
+            for e in basis:
+                (spot,) = _entries(e)
+                for key, v in _entries(func.mor(e)).items():
+                    combined[key] = combined.get(key, 0) + coeffs[spot] * v
+            assert {k: v for k, v in combined.items() if v} == \
+                _entries(func.mor(f))
+
+
+def test_laxator_naturality_counts_zero_hom_quadruples_without_maps():
+    # of the 16 quadruples over {0:1}, {1:1}, only the 4 with X = X' and
+    # Y = Y' have a nonzero Hom space, each with one basis pair
+    a, b = obj(NAT, {0: 1}), obj(NAT, {1: 1})
+    ds = DistortedStructure(Q, NAT, [a, b], symmetric_braiding(), identity_unit())
+    for func in (identity_functor(ds), truncation_functor(ds, 0)):
+        for cap, counts in ((2, (2, 1)), (16, (16, 4))):
+            cov = check_laxator_naturality(
+                func, CheckBudget(max_object_tuples=cap)).coverage
+            assert (cov.object_tuples, cov.sampled_maps) == counts
 
 
 def test_laxator_naturality():
     ds = nat_ds()
-    small = CheckBudget(max_object_tuples=60, sample_maps=1, seed=2)
+    small = CheckBudget(max_object_tuples=60)
     for func in (identity_functor(ds), truncation_functor(ds, 1),
                  collapse_functor(ds)):
         assert check_laxator_naturality(func, small).passed

@@ -217,9 +217,9 @@ def test_examples_report_bytes_are_pinned():
     text, _ = run_examples("text")
     js, _ = run_examples("json")
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "40835d2dfa7f1697ea7579b19c7f05bfad670ba2686a48b75a275fff8f50a608"
+        "d4f694e58e5816c26f44a2ad0bffcc2d3c40ca58f49fe1e669db23d2ca7120d9"
     assert hashlib.sha256(js.encode()).hexdigest() == \
-        "53d62be17e673aabd22ed5c6a228fe8b42ec06a1e6390bd7abd84dfecc3f3f8d"
+        "d0641ceacbc89757e824bdb3a2d82b05029c0f0e86e1c73348287ee7a6966482"
 
 
 def _digests(scenario, reports):

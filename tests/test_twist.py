@@ -17,7 +17,7 @@ from distmon.reports import CheckBudget
 
 from conftest import Q, obj
 
-BUDGET = CheckBudget(sample_maps=2, seed=11)
+BUDGET = CheckBudget()
 UNIVERSE = generate_universe(PARITY, 1, 1, 2)
 ODD = obj(PARITY, {1: 1})
 MIXED = obj(PARITY, {0: 1, 1: 1})
