@@ -277,16 +277,17 @@ def scalar_axiom_sides(field, monoid, c: Callable, s: Callable,
 
 def scalar_route(field, monoid, c: Callable, s: Callable, axioms) -> Callable:
     """``agrees(x, y, z)``: every listed scalar identity holds on every
-    degree triple of the objects, computed without any matrix."""
+    degree triple of the objects, computed without any matrix.  Each degree
+    triple is evaluated once per call of ``scalar_route``."""
+    holds: dict = {}  # (i, j, k) -> every listed identity holds there
+
     def agrees(x, y, z) -> bool:
-        for i in x.degrees:
-            for j in y.degrees:
-                for k in z.degrees:
-                    for axiom in axioms:
-                        lhs, rhs = scalar_axiom_sides(field, monoid, c, s,
-                                                      axiom, i, j, k)
-                        if lhs != rhs:
-                            return False
+        for t in product(x.degrees, y.degrees, z.degrees):
+            if t not in holds:
+                holds[t] = all(lhs == rhs for lhs, rhs in (
+                    scalar_axiom_sides(field, monoid, c, s, a, *t) for a in axioms))
+            if not holds[t]:
+                return False
         return True
     return agrees
 

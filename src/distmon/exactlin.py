@@ -27,6 +27,11 @@ column, so ``compose``, ``tensor_map`` and map equality cost time in the
 number of nonzero entries.  ``graded_map`` is the constructor that takes
 dense rows; dense rows are made again only by ``GradedMap.block`` and
 ``GradedMap.dense_blocks``, for witnesses, reports and ``mat_rank``.
+
+Each object keeps one interned identity map per field (``identity``); the
+unitors and every trivially permuting associator are that map.  After
+their checks, ``compose`` and ``tensor_map`` apply the unit laws to it by
+reference; a value-equal copy takes the generic path.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ class GradedObject:
     """Finitely supported degree -> dimension table (dimensions >= 1).
 
     ``degrees``, ``total_dim`` and the hash are computed once, at
-    construction.
+    construction; ``_identities`` keeps ``identity``'s map per field.
     """
 
     monoid: GradingMonoid
@@ -96,6 +101,7 @@ class GradedObject:
         derived["degrees"] = tuple([d for d, _ in dims])
         derived["total_dim"] = sum([k for _, k in dims])
         derived["_hash"] = hash((self.monoid.kind, dims))
+        derived["_identities"] = {}
 
     def __hash__(self) -> int:
         return self._hash
@@ -349,23 +355,32 @@ def elementary_maps(field, source: GradedObject,
             for c in range(n)]
 
 
-def _identity_blocks(field, x: GradedObject) -> tuple:
-    units = _units(field, max((k for _, k in x.dims), default=0))
-    return tuple((d, units[:k]) for d, k in x.dims)
-
-
 def identity(field, x: GradedObject) -> GradedMap:
-    return GradedMap(field, x, x, _identity_blocks(field, x))
+    """The interned identity: the same map for the same object and field."""
+    got = x._identities.get(field)
+    if got is None:
+        units = _units(field, max((k for _, k in x.dims), default=0))
+        got = x._identities[field] = GradedMap(
+            field, x, x, tuple((d, units[:k]) for d, k in x.dims))
+    return got
+
+
+def _is_identity(m: GradedMap) -> bool:
+    return m.source is m.target and m is m.source._identities.get(m.field)
 
 
 def compose(g: GradedMap, f: GradedMap) -> GradedMap:
-    """g after f."""
+    """g after f; an interned identity on either side returns the other map."""
     if f.field is not g.field and f.field != g.field:
         raise ObjectMismatch("cannot compose maps over different fields")
     if f.target is not g.source and f.target != g.source:
         raise ObjectMismatch(
             f"compose: inner objects differ ({f.target} vs {g.source})"
         )
+    if _is_identity(f):
+        return g
+    if _is_identity(g):
+        return f
     fb = dict(f.blocks)
     out = {}
     for d, gb in g.blocks:
@@ -445,6 +460,8 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     field = f.field
     one, mul = field.one, field.mul
     src = tensor_obj(f.source, g.source)
+    if _is_identity(f) and _is_identity(g):
+        return identity(field, src)
     tgt = tensor_obj(f.target, g.target)
     col_off = _summand_offsets(f.source, g.source)
     row_off = _summand_offsets(f.target, g.target)
@@ -513,6 +530,8 @@ def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> Grad
                     row = t0 + a * dyz + q0 + b * dz
                     for c in range(dz):
                         perm[col + c] = row + c
+    if src == tgt and all(p == list(range(len(p))) for p in rows.values()):
+        return identity(field, src)
     units = _units(field, tgt.total_dim)
     return GradedMap(field, src, tgt, tuple(
         (n, tuple(units[r] for r in perm)) for n, perm in rows.items()))
@@ -522,6 +541,8 @@ def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> Grad
 def associator_inv(field, x: GradedObject, y: GradedObject, z: GradedObject) -> GradedMap:
     """The inverse permutation, i.e. the transpose of ``associator``."""
     a = associator(field, x, y, z)
+    if _is_identity(a):
+        return a
     units = _units(field, a.source.total_dim)
     blocks = []
     for n, block in a.blocks:
@@ -532,30 +553,8 @@ def associator_inv(field, x: GradedObject, y: GradedObject, z: GradedObject) -> 
     return GradedMap(field, a.target, a.source, tuple(blocks))
 
 
-@cache
-def left_unitor(field, x: GradedObject) -> GradedMap:
-    """I (x) X -> X (identity permutation in this layout)."""
-    src = tensor_obj(unit_object(x.monoid), x)
-    return GradedMap(field, src, x, _identity_blocks(field, x))
-
-
-@cache
-def left_unitor_inv(field, x: GradedObject) -> GradedMap:
-    u = left_unitor(field, x)
-    return GradedMap(field, x, u.source, u.blocks)
-
-
-@cache
-def right_unitor(field, x: GradedObject) -> GradedMap:
-    """X (x) I -> X (identity permutation in this layout)."""
-    src = tensor_obj(x, unit_object(x.monoid))
-    return GradedMap(field, src, x, _identity_blocks(field, x))
-
-
-@cache
-def right_unitor_inv(field, x: GradedObject) -> GradedMap:
-    u = right_unitor(field, x)
-    return GradedMap(field, x, u.source, u.blocks)
+# I (x) X and X (x) I equal X in this layout, so every unitor is the identity.
+left_unitor = left_unitor_inv = right_unitor = right_unitor_inv = identity
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from .errors import DistmonError, ParseError, ValidationError
@@ -48,16 +49,21 @@ from .reports import CheckBudget, CheckReport, Coverage, Witness
 # universe generation
 
 
+MAX_UNIVERSE = 4096  # objects a generator may produce
+
+
+def _degree_count(monoid, max_degree: int) -> int:
+    """How many degrees, from 0 up, a generator draws supports from."""
+    if monoid.kind == "trivial":
+        return 1
+    return min(max_degree, 1) + 1 if monoid.kind == "parity" else max_degree + 1
+
+
 def generate_universe(monoid, max_degree: int, max_dim: int,
                       max_support: int) -> tuple[GradedObject, ...]:
     """All dimension tables within the bounds, canonically sorted, unit
     object always included."""
-    if monoid.kind == "trivial":
-        degrees = [0]
-    elif monoid.kind == "parity":
-        degrees = [d for d in (0, 1) if d <= max_degree]
-    else:
-        degrees = list(range(max_degree + 1))
+    degrees = range(_degree_count(monoid, max_degree))
     objs = {unit_object(monoid)}
     for size in range(1, max_support + 1):
         for support in combinations(degrees, size):
@@ -228,8 +234,18 @@ def _universe(spec, monoid) -> tuple[GradedObject, ...]:
         bounds = ("max_degree", 0), ("max_dim", 1), ("max_support", 1)
         _expect(set(spec) == {k for k, _ in bounds}, "universe",
                 "generator needs exactly max_degree, max_dim, max_support")
-        return generate_universe(monoid, *(
-            _int(spec[k], f"universe.{k}", lo) for k, lo in bounds))
+        max_degree, max_dim, max_support = (
+            _int(spec[k], f"universe.{k}", lo) for k, lo in bounds)
+        # sum over support sizes s of C(#degrees, s) * max_dim**s, stopped
+        # once past the bound so that huge bounds cost nothing
+        n, size = _degree_count(monoid, max_degree), 0
+        for s in range(1, min(max_support, n) + 1):
+            size += comb(n, s) * max_dim ** s
+            if size > MAX_UNIVERSE:
+                break
+        _expect(size <= MAX_UNIVERSE, "universe",
+                f"generator bounds give more than {MAX_UNIVERSE} objects")
+        return generate_universe(monoid, max_degree, max_dim, max_support)
     _expect(isinstance(spec, list) and bool(spec), "universe",
             "must be a generator object or a nonempty list of dim tables")
     return sort_universe(_table(table, f"universe[{idx}]", monoid)

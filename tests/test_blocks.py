@@ -14,13 +14,17 @@ Hom space, since naturality is decided on them.
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
+import pytest
 
 from distmon import (
-    NAT, PARITY, TRIVIAL, GradedObject, PrimeField, associator, associator_inv,
-    collapse_map, compose, graded_map, identity, tensor_map, tensor_obj,
+    NAT, PARITY, TRIVIAL, GradedMap, GradedObject, PrimeField, associator,
+    associator_inv, collapse_map, compose, graded_map, identity, left_unitor,
+    left_unitor_inv, right_unitor, right_unitor_inv, tensor_map, tensor_obj,
+    unit_object,
 )
+from distmon.errors import MonoidMismatch, ObjectMismatch
 from distmon.exactlin import (
     collapse_laxator, elementary_maps, flip_map, pair_decoder, summand_scaling,
     triple_decoder_left, triple_decoder_right,
@@ -275,6 +279,57 @@ def test_structural_maps_match_dense_reference(data, field, monoid):
     assert dense(a) == ref
     assert dense(a_inv) == {d: [list(col) for col in zip(*rows)]
                             for d, rows in ref.items()}
+    trivial = a.source == a.target and dense(a) == dense(identity(field, a.source))
+    assert (a is identity(field, a.source)) == trivial
+    assert (a_inv is a) == trivial
+    unit = unit_object(monoid)
+    assert tensor_obj(unit, x) == x == tensor_obj(x, unit)
+    for unitor in (left_unitor, left_unitor_inv, right_unitor, right_unitor_inv):
+        assert unitor(field, x) is ident
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_unit_laws_by_reference_match_the_dense_reference(data, field, monoid):
+    """The interned identity, a fresh value-equal copy of it and the dense
+    reference agree; only the interned one is returned by reference."""
+    x, y = objects(data.draw, monoid, 2)
+    f = data.draw(graded_maps(field, x, y))
+    idx, idy = identity(field, x), identity(field, y)
+    assert idx is identity(field, x)
+    for ix, iy in ((idx, idy), (GradedMap(field, x, x, idx.blocks),
+                                GradedMap(field, y, y, idy.blocks))):
+        for got, ref in ((compose(f, ix), ref_compose(field, f, ix)),
+                         (compose(iy, f), ref_compose(field, iy, f)),
+                         (tensor_map(ix, f), ref_tensor(field, ix, f)),
+                         (tensor_map(f, iy), ref_tensor(field, f, iy)),
+                         (tensor_map(ix, iy), ref_tensor(field, ix, iy))):
+            assert_canonical(got)
+            assert dense(got) == ref
+        assert compose(f, ix) == f == compose(iy, f)
+        assert tensor_map(ix, iy) == identity(field, tensor_obj(x, y))
+    assert compose(f, idx) is f and compose(idy, f) is f
+    assert tensor_map(idx, idy) is identity(field, tensor_obj(x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_a_mismatched_identity_still_raises(data, field, monoid):
+    x, y = objects(data.draw, monoid, 2)
+    assume(x != y)
+    f = data.draw(graded_maps(field, x, y))
+    other = FP if field is RATIONAL else RATIONAL
+    for bad in (lambda: compose(f, identity(field, y)),
+                lambda: compose(identity(field, x), f),
+                lambda: compose(identity(field, y), identity(field, x)),
+                lambda: compose(identity(other, y), f),
+                lambda: compose(f, identity(other, x)),
+                lambda: tensor_map(identity(field, x), identity(other, y))):
+        with pytest.raises(ObjectMismatch):
+            bad()
+    lone = TRIVIAL if monoid is NAT else NAT
+    with pytest.raises(MonoidMismatch):
+        tensor_map(identity(field, x), identity(field, unit_object(lone)))
 
 
 @settings(max_examples=150, deadline=None)

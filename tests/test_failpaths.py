@@ -221,6 +221,22 @@ def _base_corrupted():
     return check_base(Q, NAT_U, CheckBudget(), assoc=corrupt)
 
 
+def _base_scaled_identity_associator():
+    """One column of an associator that is the interned identity, scaled."""
+    bad_at = (obj(NAT, {0: 1, 1: 1}), obj(NAT, {1: 1}), obj(NAT, {1: 1}))
+
+    def scaled(field, x, y, z):
+        a = associator(field, x, y, z)
+        if (x, y, z) != bad_at:
+            return a
+        assert a is identity(field, a.source)
+        blocks = {d: [list(row) for row in m] for d, m in a.dense_blocks()}
+        blocks[3][0][0] = Fraction(2)
+        return graded_map(field, a.source, a.target, blocks)
+
+    return check_base(Q, NAT_U, CheckBudget(), assoc=scaled)
+
+
 CASES = {
     "lax-pentagon": _lax_pentagon,
     "lax-left-unit": _lax_left_unit,
@@ -252,6 +268,7 @@ CASES = {
     "lax-max-tuples-5": lambda: _lax(5),
     "base-max-tuples-50": _base_capped,
     "base-corrupted-associator": _base_corrupted,
+    "base-scaled-identity-associator": _base_scaled_identity_associator,
 }
 
 
@@ -301,6 +318,8 @@ EXPECTED = {
         (("{1:1}", "{1:1}"), (0, 0), 0, 0, 0, "-1", "1")),
     "base-corrupted-associator": ("base", "fail", 298, 0, "pentagon",
         (("{1:1}", "{1:1}", "{1:1}", "{0:1, 1:1}"), (3,), 3, 0, 0, "1", "2")),
+    "base-scaled-identity-associator": ("base", "fail", 368, 0, "pentagon",
+        (("{1:1}", "{0:1, 1:1}", "{1:1}", "{1:1}"), (4,), 4, 0, 0, "1", "2")),
     "base-max-tuples-50": ("base", "pass", 86, 0,
         "triangle pairs=36 pentagon quadruples=50", None),
     "interchange-projection": ("interchange", "fail", 6, 0, None,

@@ -87,6 +87,8 @@ KEYED_ERRORS = [
         interchange_quadruples=[["theta", "theta", "theta", "theta"]],
         checks=["interchange"])),
     ("closure_depth", nat_doc(closure_depth=2)),
+    ("universe", nat_doc(universe={"max_degree": 2000, "max_dim": 1,
+                                   "max_support": 3})),
     ("lambda", nat_doc(**{"lambda": [{"name": "a", "kind": "identity"},
                                      {"name": "a", "kind": "character", "t": "2"}]},
                        checks=["D2"])),
@@ -166,6 +168,25 @@ def test_universe_bounds_report_their_full_key(key, value):
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(doc)
     assert err.value.key == f"universe.{key}"
+
+
+@pytest.mark.parametrize("grading,bounds,size", [
+    ("trivial", (0, 4096, 1), 4096),
+    ("trivial", (0, 4097, 1), None),
+    ("nat", (3, 2, 3), 64),
+    ("parity", (1, 63, 2), 2 * 63 + 63 ** 2),
+    ("parity", (1, 64, 2), None),
+    ("nat", (10 ** 30, 10 ** 30, 10 ** 30), None),
+])
+def test_generator_is_bounded_by_its_closed_form_size(grading, bounds, size):
+    doc = nat_doc(grading=grading, functors=[], transformations=[], checks=["D4"],
+                  universe=dict(zip(("max_degree", "max_dim", "max_support"), bounds)))
+    if size is None:
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.key == "universe"
+    else:
+        assert len(scenario_from_dict(doc).universe) == size
 
 
 # ---------------------------------------------------------------------------
