@@ -28,10 +28,16 @@ number of nonzero entries.  ``graded_map`` is the constructor that takes
 dense rows; dense rows are made again only by ``GradedMap.block`` and
 ``GradedMap.dense_blocks``, for witnesses, reports and ``mat_rank``.
 
-Each object keeps one interned identity map per field (``identity``); the
-unitors and every trivially permuting associator are that map.  After
+Each object keeps one interned identity map per field (``identity``).
+Every constructor here returns that map when its result is the identity
+between equal objects: the unitors, ``associator``/``associator_inv``
+(decided in closed form, before any permutation is built), and
+``monomial_map`` with everything built on it (flips, summand scalings,
+unit families, the collapse laxator, elementary maps); ``block_map`` does
+the same for the truncation functor and the projection cells.  After
 their checks, ``compose`` and ``tensor_map`` apply the unit laws to it by
-reference; a value-equal copy takes the generic path.
+reference.  ``graded_map`` never interns, so a value-equal copy takes the
+generic path.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import is_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import MonoidMismatch, ObjectMismatch
@@ -65,7 +72,7 @@ class GradingMonoid:
         return 0
 
     def valid_degree(self, d: int) -> bool:
-        if not isinstance(d, int) or d < 0:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
             return False
         if self.kind == "trivial":
             return d == 0
@@ -112,7 +119,7 @@ class GradedObject:
         for d, k in dims.items():
             if not monoid.valid_degree(d):
                 raise MonoidMismatch(f"degree {d} invalid for {monoid.kind} grading")
-            if not isinstance(k, int) or k < 1:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ObjectMismatch(f"dimension at degree {d} must be >= 1, got {k!r}")
             items.append((d, k))
         return GradedObject(monoid, tuple(sorted(items)))
@@ -320,20 +327,36 @@ def graded_map(field, source: GradedObject, target: GradedObject,
 def monomial_map(field, source: GradedObject, target: GradedObject,
                  columns: Mapping[int, Iterable[tuple[int, object]]]) -> GradedMap:
     """Map whose block at degree ``d`` has the single entry ``(row, value)``
-    of ``columns[d]`` in each column; a zero value leaves the column empty."""
+    of ``columns[d]`` in each column; a zero value leaves the column empty.
+    The identity between equal objects is the interned one."""
     one = field.one
     units = _units(field, target.total_dim)
     blocks = {}
     for d, entries in columns.items():
         blocks[d] = tuple(units[r] if v == one else (r, v) if v else ()
                           for r, v in entries)
-    return _raw_map(field, source, target, blocks)
+    return block_map(field, source, target, blocks)
 
 
 def _raw_map(field, source, target, blocks: dict) -> GradedMap:
     """Internal constructor from canonical column blocks; drops empty ones."""
     return GradedMap(field, source, target,
                      tuple(sorted((d, m) for d, m in blocks.items() if any(m))))
+
+
+def block_map(field, source: GradedObject, target: GradedObject,
+              blocks: Mapping[int, tuple]) -> GradedMap:
+    """The map with these canonical column blocks, or the interned identity
+    when source equals target and every column ``c`` of every degree's
+    block is the shared unit column ``(c, one)`` of ``_units``, compared by
+    reference.  ``monomial_map`` writes every unit entry as that column; a
+    block holding a value-equal fresh column is kept as built."""
+    if source == target:
+        units = _units(field, source.total_dim)
+        if all(d in blocks and all(map(is_, blocks[d], units))
+               for d in source.degrees):
+            return identity(field, source)
+    return _raw_map(field, source, target, blocks)
 
 
 def zero_map(field, source: GradedObject, target: GradedObject) -> GradedMap:
@@ -510,28 +533,42 @@ def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> Grad
     ``q0`` are the offsets of X_i (x) Y_j and Y_j (x) Z_k in their
     degrees, and ``s0`` and ``t0`` those of (X (x) Y)_m (x) Z_k and
     X_i (x) (Y (x) Z)_m', all from ``_summand_offsets``.
+
+    Both sides have the same dimension at every degree and each summand
+    block moves rigidly, so the permutation is the identity exactly when
+    every summand starts at the same place on both sides,
+    ``s0 + p0 dz == t0 + q0``, and ``dx == 1`` or ``dy dz == dyz``.  The
+    first condition implies the second: a summand fills ``dx dy dz``
+    consecutive source columns, so with ``dx > 1`` the next summand of
+    X_i (x) (Y (x) Z)_m', at row ``t0 + q0 + dy dz``, would start inside
+    it.  The offsets are compared first, and when they all agree the
+    interned identity is returned without building a permutation.
     """
     xy, yz = tensor_obj(x, y), tensor_obj(y, z)
     src, tgt = tensor_obj(xy, z), tensor_obj(x, yz)
     outer_l, inner_l = _summand_offsets(xy, z), _summand_offsets(x, y)
     outer_r, inner_r = _summand_offsets(x, yz), _summand_offsets(y, z)
-    rows = {n: [0] * k for n, k in src.dims}
+    summands = []
+    trivial = True
     for (i, j), (m, p0) in inner_l.items():
         dx, dy = x.dim(i), y.dim(j)
         for k, dz in z.dims:
             n, s0 = outer_l[(m, k)]
             mr, q0 = inner_r[(j, k)]
-            t0 = outer_r[(i, mr)][1]
-            dyz = yz.dim(mr)
-            perm = rows[n]
-            for a in range(dx):
-                for b in range(dy):
-                    col = s0 + (p0 + a * dy + b) * dz
-                    row = t0 + a * dyz + q0 + b * dz
-                    for c in range(dz):
-                        perm[col + c] = row + c
-    if src == tgt and all(p == list(range(len(p))) for p in rows.values()):
+            col0, row0 = s0 + p0 * dz, outer_r[(i, mr)][1] + q0
+            trivial = trivial and col0 == row0
+            summands.append((n, col0, row0, dx, dy, dz, yz.dim(mr)))
+    if trivial:
         return identity(field, src)
+    rows = {n: [0] * k for n, k in src.dims}
+    for n, col0, row0, dx, dy, dz, dyz in summands:
+        perm = rows[n]
+        for a in range(dx):
+            for b in range(dy):
+                col = col0 + (a * dy + b) * dz
+                row = row0 + a * dyz + b * dz
+                for c in range(dz):
+                    perm[col + c] = row + c
     units = _units(field, tgt.total_dim)
     return GradedMap(field, src, tgt, tuple(
         (n, tuple(units[r] for r in perm)) for n, perm in rows.items()))

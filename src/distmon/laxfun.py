@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, TRIVIAL, associator, collapse_laxator,
+    GradedMap, GradedObject, TRIVIAL, associator, block_map, collapse_laxator,
     collapse_map, compose, identity, left_unitor, pair_decoder,
     right_unitor, sort_universe, tensor_map, tensor_obj,
     triple_decoder_left, unit_object,
@@ -70,7 +70,12 @@ def _truncated(x: GradedObject, bound: int) -> GradedObject:
 
 
 def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
-    """Kill all degrees above ``bound``; lax but not strong."""
+    """Kill all degrees above ``bound``; lax but not strong.
+
+    ``mor`` returns ``f`` itself when no degree of its objects is cut, and
+    the interned identity when the truncated map is one; ``mu(X, Y)`` is
+    the interned identity when tau X (x) tau Y equals tau(X (x) Y).
+    """
     if ds.monoid.kind != "nat":
         raise MonoidMismatch("truncation needs the natural-number grading")
     field = ds.field
@@ -81,14 +86,15 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
         return _truncated(x, bound)
 
     def mor(f: GradedMap) -> GradedMap:
-        blocks = tuple((d, m) for d, m in f.blocks if d <= bound)
-        return GradedMap(field, obj(f.source), obj(f.target), blocks)
+        src, tgt = obj(f.source), obj(f.target)
+        if src is f.source and tgt is f.target:
+            return f
+        return block_map(field, src, tgt, {d: m for d, m in f.blocks if d <= bound})
 
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
         src = tensor_obj(obj(x), obj(y))
-        blocks = identity(field, src).blocks
-        return GradedMap(field, src, obj(tensor_obj(x, y)),
-                         tuple((d, m) for d, m in blocks if d <= bound))
+        return block_map(field, src, obj(tensor_obj(x, y)),
+                         {d: m for d, m in identity(field, src).blocks if d <= bound})
 
     return LaxFunctor(
         name=f"tau{bound}",

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 from .errors import StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, compose, identity, monomial_map, pair_decoder,
-    tensor_map, tensor_obj,
+    GradedMap, GradedObject, block_map, compose, identity, monomial_map,
+    pair_decoder, tensor_map, tensor_obj,
 )
 from .laxfun import LaxFunctor, compose_lax, identity_functor
 from .reports import (
@@ -45,7 +45,8 @@ def identity_transformation(func: LaxFunctor) -> MonNatTrans:
 
 
 def projection_transformation(f_from: LaxFunctor, f_to: LaxFunctor) -> MonNatTrans:
-    """The degree projection between two truncations tau_large => tau_small."""
+    """The degree projection between two truncations tau_large => tau_small;
+    its component at X is the interned identity when both agree on X."""
     for func in (f_from, f_to):
         if not func.info or func.info[0] != "truncation":
             raise StructureMismatch("projection cells connect truncation functors")
@@ -60,7 +61,7 @@ def projection_transformation(f_from: LaxFunctor, f_to: LaxFunctor) -> MonNatTra
 
     def component(x: GradedObject) -> GradedMap:
         tgt = f_to.obj(x)
-        return GradedMap(field, f_from.obj(x), tgt, identity(field, tgt).blocks)
+        return block_map(field, f_from.obj(x), tgt, dict(identity(field, tgt).blocks))
 
     return MonNatTrans(
         name=f"pi[{large}->{small}]",

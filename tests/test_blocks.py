@@ -19,10 +19,12 @@ import hypothesis.strategies as st
 import pytest
 
 from distmon import (
-    NAT, PARITY, TRIVIAL, GradedMap, GradedObject, PrimeField, associator,
-    associator_inv, collapse_map, compose, graded_map, identity, left_unitor,
-    left_unitor_inv, right_unitor, right_unitor_inv, tensor_map, tensor_obj,
-    unit_object,
+    NAT, PARITY, TRIVIAL, DistortedStructure, GradedMap, GradedObject,
+    PrimeField, StructuralUnit, associator, associator_inv, collapse_map,
+    compose, graded_map, identity, identity_unit, left_unitor,
+    left_unitor_inv, monomial_map, projection_transformation, right_unitor,
+    right_unitor_inv, symmetric_braiding, tensor_map, tensor_obj,
+    truncation_functor, unit_object,
 )
 from distmon.errors import MonoidMismatch, ObjectMismatch
 from distmon.exactlin import (
@@ -169,6 +171,24 @@ def ref_collapse_laxator(field, x, y):
     block = [[field.one if lab == (i, j, a, b) else field.zero
               for (i, a), (j, b) in product(xs, ys)] for lab in rows]
     return drop_zero(field, {0: block})
+
+
+def ref_monomial(field, src, tgt, columns):
+    """The dense map whose column c at degree d has ``columns[d][c]``."""
+    out = {}
+    for d, entries in columns.items():
+        block = zero_rows(field, tgt.dim(d), src.dim(d))
+        for c, (r, v) in enumerate(entries):
+            block[r][c] = v
+        out[d] = block
+    return drop_zero(field, out)
+
+
+def ref_identity_blocks(field, x, bound=None):
+    """The identity blocks of X at its degrees up to ``bound``."""
+    return {d: [[field.one if r == c else field.zero for c in range(k)]
+                for r in range(k)]
+            for d, k in x.dims if bound is None or d <= bound}
 
 
 def ref_first_difference(field, left, right):
@@ -439,3 +459,114 @@ def test_layout_maps_match_label_lists(data, field, monoid):
         for n in tensor_obj(xy, z).degrees:
             for c, lab in enumerate(labels(x, y, z, n)):
                 assert decode(n, c) == lab[:3]
+
+
+# ---------------------------------------------------------------------------
+# constructors that return the interned identity
+
+
+def interned_exactly_for_identities(got, ref):
+    """``got`` equals the dense reference ``ref``, and is the interned
+    identity exactly when ``ref`` is the identity between equal objects."""
+    assert_canonical(got)
+    assert dense(got) == ref
+    field, x = got.field, got.source
+    trivial = x == got.target and ref == ref_identity_blocks(field, x)
+    assert (got is identity(field, x)) == trivial
+    return trivial
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_constructors_return_the_interned_identity_exactly_for_identities(
+        data, field, monoid):
+    draw = data.draw
+    x, y, z = [draw(object_strategy(monoid, max_degree=2, max_dim=3, max_support=2))
+               for _ in range(3)]
+    values = palette(field)
+    ones = [v for v in values if v == field.one]
+
+    def scalars(keys):
+        """All one (the identity's case) or drawn from the palette."""
+        pool = ones if draw(st.booleans()) else values
+        return {key: draw(st.sampled_from(pool)) for key in keys}
+
+    tgt = draw(st.sampled_from([x, GradedObject(x.monoid, x.dims), y]))
+    diagonal = draw(st.booleans())
+    entry = scalars([(d, c) for d, k in x.dims for c in range(k)])
+    columns = {d: [(c if diagonal and c < tgt.dim(d)
+                    else draw(st.integers(0, tgt.dim(d) - 1)), entry[(d, c)])
+                   for c in range(k)]
+               for d, k in x.dims if tgt.dim(d)}
+    f = monomial_map(field, x, tgt, columns)
+    interned_exactly_for_identities(f, ref_monomial(field, x, tgt, columns))
+
+    table = scalars(list(product(x.degrees, y.degrees)))
+
+    def coeff(i, j):
+        return table[(i, j)]
+
+    interned_exactly_for_identities(flip_map(field, x, y, coeff), ref_summand_map(
+        field, x, y, lambda n: pair_basis(y, x, n),
+        lambda lab: (lab[1], lab[0], lab[3], lab[2]), coeff))
+    interned_exactly_for_identities(summand_scaling(field, x, y, coeff), ref_summand_map(
+        field, x, y, lambda n: pair_basis(x, y, n), lambda lab: lab, coeff))
+    fx = GradedObject(TRIVIAL, ((0, x.total_dim),))
+    fy = GradedObject(TRIVIAL, ((0, y.total_dim),))
+    interned_exactly_for_identities(
+        collapse_laxator(field, x, y, tensor_obj(fx, fy),
+                         GradedObject(TRIVIAL, ((0, tensor_obj(x, y).total_dim),))),
+        ref_collapse_laxator(field, x, y))
+
+    scale = scalars(x.degrees)
+    lam = StructuralUnit(lambda _field, m: scale[m]).at(field, x)
+    interned_exactly_for_identities(lam, drop_zero(field, {
+        d: [[scale[d] if r == c else field.zero for c in range(k)]
+            for r in range(k)] for d, k in x.dims}))
+
+    ref = ref_associator(field, x, y, z)
+    trivial = interned_exactly_for_identities(associator(field, x, y, z), ref)
+    a_inv = associator_inv(field, x, y, z)
+    assert interned_exactly_for_identities(a_inv, {
+        d: [list(col) for col in zip(*rows)] for d, rows in ref.items()}) == trivial
+
+    if monoid is not NAT:
+        return
+    ds = DistortedStructure(field, NAT, [x, y], symmetric_braiding(), identity_unit())
+    large = draw(st.integers(0, 3))
+    small = draw(st.integers(0, large))
+    tau, tau_small = truncation_functor(ds, large), truncation_functor(ds, small)
+    got = tau.mor(f)
+    interned_exactly_for_identities(got, {
+        d: rows for d, rows in dense(f).items() if d <= large})
+    if tau.obj(x) is x and tau.obj(tgt) is tgt:
+        assert got is f
+    src = tensor_obj(tau.obj(x), tau.obj(y))
+    interned_exactly_for_identities(tau.mu(x, y),
+                                    ref_identity_blocks(field, src, large))
+    pi = projection_transformation(tau, tau_small)
+    interned_exactly_for_identities(pi.component(x),
+                                    ref_identity_blocks(field, tau_small.obj(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), monoids)
+def test_a_near_identity_monomial_map_is_never_interned(data, field, monoid):
+    x = data.draw(object_strategy(monoid, max_degree=2, max_dim=3, max_support=2))
+    columns = {d: [(c, field.one) for c in range(k)] for d, k in x.dims}
+    assert monomial_map(field, x, x, columns) is identity(field, x)
+    how = data.draw(st.sampled_from(["two", "zero", "swap"]))
+    spots = [(d, c) for d, k in x.dims for c in range(k - (how == "swap"))]
+    assume(spots)
+    d, c = data.draw(st.sampled_from(spots))
+    near = {e: list(entries) for e, entries in columns.items()}
+    if how == "two":
+        near[d][c] = (c, field.add(field.one, field.one))
+    elif how == "zero":
+        near[d][c] = (c, field.zero)
+    else:
+        near[d][c], near[d][c + 1] = (c + 1, field.one), (c, field.one)
+    got = monomial_map(field, x, x, near)
+    assert got is not identity(field, x) and got != identity(field, x)
+    assert_canonical(got)
+    assert dense(got) == ref_monomial(field, x, x, near)

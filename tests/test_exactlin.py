@@ -274,6 +274,21 @@ def test_object_dim_validation():
         obj(NAT, {-1: 1})
 
 
+def test_object_rejects_bool_degrees_and_dimensions():
+    """True equals and hashes like 1, but would print as ``{True:True}``."""
+    for monoid in (NAT, PARITY):
+        with pytest.raises(MonoidMismatch, match="degree True invalid"):
+            obj(monoid, {True: 1})
+        with pytest.raises(MonoidMismatch, match="degree False invalid"):
+            obj(monoid, {False: 1})
+        with pytest.raises(ObjectMismatch, match="got True"):
+            obj(monoid, {1: True})
+        with pytest.raises(MonoidMismatch):
+            obj(monoid, {True: True})
+        assert not monoid.valid_degree(True)
+    assert str(obj(NAT, {1: 1})) == "{1:1}"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
 def test_grading_monoid_laws(a, b, c):

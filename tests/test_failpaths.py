@@ -20,12 +20,13 @@ from distmon import (
     check_D2, check_D3, check_D4, check_idempotent_axiom, check_interchange,
     check_lax_axioms, check_laxator_naturality, check_monoidal,
     check_SLambda, check_Ssigma, check_triple_strictness, collapse_functor,
-    compose_lax, generate_universe, graded_character, graded_map,
-    identity_functor, identity_unit, koszul_braiding, parity_projector,
-    projection_transformation, scalar_transformation, symmetric_braiding,
-    tabulate_binary, tensor_obj, truncation_functor, twist, unit_object,
+    check_lambda_sigma_commute, compose_lax, generate_universe,
+    graded_character, graded_map, identity_functor, identity_unit,
+    koszul_braiding, parity_projector, projection_transformation,
+    scalar_transformation, symmetric_braiding, tabulate_binary, tensor_obj,
+    truncation_functor, twist, unit_object,
 )
-from distmon.distortion import Tabulated
+from distmon.distortion import StructuralBinary, Tabulated
 from distmon.exactlin import associator, identity
 from distmon.reports import CheckBudget
 
@@ -140,10 +141,13 @@ def _interchange():
     return check_interchange(eta, theta, phi, psi, BUDGET)
 
 
+def _closure(universe):
+    """The universe and the tensor of each pair of its objects."""
+    return set(universe) | {tensor_obj(x, y) for x, y in product(universe, repeat=2)}
+
+
 def _tabulated_sigma(sigma):
-    closure = set(PARITY_U) | {tensor_obj(x, y)
-                               for x, y in product(PARITY_U, repeat=2)}
-    return tabulate_binary(sigma, Q, list(product(closure, repeat=2)))
+    return tabulate_binary(sigma, Q, list(product(_closure(PARITY_U), repeat=2)))
 
 
 def _d1_tabulated():
@@ -348,3 +352,56 @@ EXPECTED = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fail_path_report_is_pinned(case):
     assert summary(CASES[case]()) == EXPECTED[case]
+
+
+# ---------------------------------------------------------------------------
+# the identity shortcuts against the generic path
+
+
+def _generic(m):
+    """A value-equal copy rebuilt from dense rows, which is never interned."""
+    copy = graded_map(Q, m.source, m.target, dict(m.dense_blocks()))
+    assert copy == m and copy is not identity(Q, copy.source)
+    return copy
+
+
+def _generic_binary(family, universe):
+    return Tabulated({pair: _generic(family.at(Q, *pair))
+                      for pair in product(_closure(universe), repeat=2)})
+
+
+def _generic_unit(family, universe):
+    return Tabulated({x: _generic(family.at(Q, x)) for x in _closure(universe)})
+
+
+def _without_note(report):
+    out = summary(report)
+    return out[:4] + out[5:]
+
+
+SIGMA_11 = StructuralBinary(  # 2 on X_1 (x) Y_1 and 1 elsewhere: fails D3
+    lambda f, i, j: f.parse("2") if (i, j) == (1, 1) else f.one, label="s11=2")
+
+
+@pytest.mark.parametrize("sigma, lam", [
+    (symmetric_braiding(), identity_unit()),
+    (SIGMA_11, graded_character(Q.parse("2"))),
+    (symmetric_braiding(), character_family(Q, [Q.one, Q.parse("2"), Q.parse("3")])),
+], ids=["identities", "sigma11-character", "character-table"])
+def test_nat_checks_agree_with_the_generic_path(sigma, lam):
+    structural = nat_ds(lam, sigma)
+    generic = nat_ds(_generic_unit(lam, NAT_U), _generic_binary(sigma, NAT_U))
+    for check in (check_D3, check_D4, check_lambda_sigma_commute):
+        assert (_without_note(check(structural, BUDGET))
+                == _without_note(check(generic, BUDGET)))
+
+
+@pytest.mark.parametrize("axiom", ["E2L", "BL"])
+def test_parity_projector_agrees_with_the_generic_path(axiom):
+    e, beta = parity_projector(), koszul_braiding()
+    structural = check_idempotent_axiom(Q, e, axiom, PARITY_U, BUDGET, beta=beta)
+    generic = check_idempotent_axiom(
+        Q, _generic_binary(e, PARITY_U), axiom, PARITY_U, BUDGET,
+        beta=_generic_binary(beta, PARITY_U))
+    assert _without_note(generic) == _without_note(structural)
+    assert structural.verdict == "fail"
