@@ -28,13 +28,19 @@ number of nonzero entries.  ``graded_map`` is the constructor that takes
 dense rows; dense rows are made again only by ``GradedMap.block`` and
 ``GradedMap.dense_blocks``, for witnesses, reports and ``mat_rank``.
 
+Objects are interned: constructing a ``GradedObject`` returns the one live
+object with that degree table, so equal objects are the same object, and
+objects compare and hash by reference.  The intern table holds them
+weakly; an object is freed once nothing else refers to it.
+
 Each object keeps one interned identity map per field (``identity``).
 Every constructor here returns that map when its result is the identity
 between equal objects: the unitors, ``associator``/``associator_inv``
 (decided in closed form, before any permutation is built), and
 ``monomial_map`` with everything built on it (flips, summand scalings,
 unit families, the collapse laxator, elementary maps); ``block_map`` does
-the same for the truncation functor and the projection cells.  After
+the same for the truncation functor and the projection cells, and
+``collapse_map`` for the collapse functor's image of an identity.  After
 their checks, ``compose`` and ``tensor_map`` apply the unit laws to it by
 reference.  ``graded_map`` never interns, so a value-equal copy takes the
 generic path.
@@ -47,6 +53,7 @@ from functools import cache
 from itertools import product
 from operator import is_
 from typing import Callable, Iterable, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import MonoidMismatch, ObjectMismatch
 from .reports import CheckBudget, CheckReport, Phase, Side, decide
@@ -92,26 +99,50 @@ MONOIDS = {"trivial": TRIVIAL, "parity": PARITY, "nat": NAT}
 # objects
 
 
-@dataclass(frozen=True)
+_INTERNED: WeakValueDictionary = WeakValueDictionary()
+
+
 class GradedObject:
     """Finitely supported degree -> dimension table (dimensions >= 1).
 
-    ``degrees``, ``total_dim`` and the hash are computed once, at
-    construction; ``_identities`` keeps ``identity``'s map per field.
+    Objects are interned: ``GradedObject(monoid, dims)`` returns the one
+    live object with that grading and ``dims`` (sorted by degree), so
+    objects compare and hash by reference.  The intern table holds its
+    objects weakly, and an object no one references is freed.  ``degrees``
+    and ``total_dim`` are computed once, when the object is first built;
+    ``_identities`` keeps ``identity``'s map per field.  Attributes cannot
+    be set, and ``copy``, ``deepcopy`` and ``pickle`` return the interned
+    object.
     """
 
-    monoid: GradingMonoid
-    dims: tuple[tuple[int, int], ...]  # sorted by degree
+    __slots__ = ("monoid", "dims", "degrees", "total_dim", "_identities",
+                 "__weakref__")
 
-    def __post_init__(self):
-        dims, derived = self.dims, self.__dict__
-        derived["degrees"] = tuple([d for d, _ in dims])
-        derived["total_dim"] = sum([k for _, k in dims])
-        derived["_hash"] = hash((self.monoid.kind, dims))
-        derived["_identities"] = {}
+    def __new__(cls, monoid: GradingMonoid, dims: tuple[tuple[int, int], ...]):
+        key = (monoid.kind, dims)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            init = object.__setattr__
+            init(obj, "monoid", monoid)
+            init(obj, "dims", dims)
+            init(obj, "degrees", tuple([d for d, _ in dims]))
+            init(obj, "total_dim", sum([k for _, k in dims]))
+            init(obj, "_identities", {})
+            _INTERNED[key] = obj
+        return obj
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GradedObject, (self.monoid, self.dims)
+
+    def __repr__(self) -> str:
+        return f"GradedObject(monoid={self.monoid!r}, dims={self.dims!r})"
 
     @staticmethod
     def of(monoid: GradingMonoid, dims: Mapping[int, int]) -> "GradedObject":
@@ -347,11 +378,11 @@ def _raw_map(field, source, target, blocks: dict) -> GradedMap:
 def block_map(field, source: GradedObject, target: GradedObject,
               blocks: Mapping[int, tuple]) -> GradedMap:
     """The map with these canonical column blocks, or the interned identity
-    when source equals target and every column ``c`` of every degree's
+    when source is target and every column ``c`` of every degree's
     block is the shared unit column ``(c, one)`` of ``_units``, compared by
     reference.  ``monomial_map`` writes every unit entry as that column; a
     block holding a value-equal fresh column is kept as built."""
-    if source == target:
+    if source is target:
         units = _units(field, source.total_dim)
         if all(d in blocks and all(map(is_, blocks[d], units))
                for d in source.degrees):
@@ -396,7 +427,7 @@ def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     """g after f; an interned identity on either side returns the other map."""
     if f.field is not g.field and f.field != g.field:
         raise ObjectMismatch("cannot compose maps over different fields")
-    if f.target is not g.source and f.target != g.source:
+    if f.target is not g.source:
         raise ObjectMismatch(
             f"compose: inner objects differ ({f.target} vs {g.source})"
         )
@@ -458,8 +489,11 @@ def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> Gr
     """``f`` with its grading forgotten: its blocks laid along the diagonal of
     one degree-0 block ``source -> target``, in ascending degree order.
 
-    ``source`` and ``target`` carry the total dimensions of ``f``'s objects.
+    ``source`` and ``target`` carry the total dimensions of ``f``'s objects;
+    the image of an interned identity is the interned identity of ``source``.
     """
+    if source is target and _is_identity(f):
+        return identity(f.field, source)
     fb = dict(f.blocks)
     starts = _starts(f.target)
     cols: list = []

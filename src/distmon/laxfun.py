@@ -64,7 +64,7 @@ def identity_functor(ds: DistortedStructure) -> LaxFunctor:
     )
 
 
-@cache  # keyed by value, like tensor_obj, so no functor pins its own copies
+@cache  # shared by every truncation functor and keyed by reference, like tensor_obj
 def _truncated(x: GradedObject, bound: int) -> GradedObject:
     return GradedObject(x.monoid, tuple((d, k) for d, k in x.dims if d <= bound))
 
@@ -116,7 +116,7 @@ def collapse_functor(ds: DistortedStructure) -> LaxFunctor:
     """
     field = ds.field
 
-    @cache  # one shared image object per total dimension
+    @cache  # looked up by total dimension instead of rebuilding the image
     def image(total: int) -> GradedObject:
         return GradedObject(TRIVIAL, ((0, total),) if total else ())
 

@@ -78,8 +78,7 @@ def first_difference(left, right):
     equal blocks mean equal maps; only maps that differ are scanned, densely
     and row-major.
     """
-    if (left.source is not right.source and left.source != right.source) or \
-            (left.target is not right.target and left.target != right.target):
+    if left.source is not right.source or left.target is not right.target:
         raise AssertionError("first_difference on non-parallel maps")
     if left.blocks == right.blocks:
         return None

@@ -491,7 +491,8 @@ def test_constructors_return_the_interned_identity_exactly_for_identities(
         pool = ones if draw(st.booleans()) else values
         return {key: draw(st.sampled_from(pool)) for key in keys}
 
-    tgt = draw(st.sampled_from([x, GradedObject(x.monoid, x.dims), y]))
+    assert GradedObject(x.monoid, x.dims) is x
+    tgt = draw(st.sampled_from([x, y]))
     diagonal = draw(st.booleans())
     entry = scalars([(d, c) for d, k in x.dims for c in range(k)])
     columns = {d: [(c if diagonal and c < tgt.dim(d)
@@ -517,6 +518,8 @@ def test_constructors_return_the_interned_identity_exactly_for_identities(
         collapse_laxator(field, x, y, tensor_obj(fx, fy),
                          GradedObject(TRIVIAL, ((0, tensor_obj(x, y).total_dim),))),
         ref_collapse_laxator(field, x, y))
+    ft = GradedObject(TRIVIAL, ((0, tgt.total_dim),))
+    assert (collapse_map(f, fx, ft) is identity(field, fx)) == (f is identity(field, x))
 
     scale = scalars(x.degrees)
     lam = StructuralUnit(lambda _field, m: scale[m]).at(field, x)

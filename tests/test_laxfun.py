@@ -129,6 +129,17 @@ def test_collapse_object_and_morphism():
     )
 
 
+def test_collapse_of_an_interned_identity_is_the_interned_identity():
+    u = collapse_functor(nat_ds())
+    for x in NAT_UNIVERSE + (obj(NAT, {0: 2, 1: 1, 2: 3}),):
+        assert u.mor(identity(Q, x)) is identity(Q, u.obj(x))
+    x = obj(NAT, {0: 2, 1: 1})
+    copy = graded_map(Q, x, x, dict(identity(Q, x).dense_blocks()))
+    assert copy is not identity(Q, x)
+    assert u.mor(copy) == identity(Q, u.obj(x))
+    assert u.mor(copy) is not identity(Q, u.obj(x))
+
+
 def _oracle_collapse_permutation(x, y):
     """Brute-force layout match: concatenated-blockwise source order against
     the degree-sorted tensor order."""
