@@ -36,9 +36,10 @@ weakly; an object is freed once nothing else refers to it.
 Each object keeps one interned identity map per field (``identity``).
 Every constructor here returns that map when its result is the identity
 between equal objects: the unitors, ``associator``/``associator_inv``
-(decided in closed form, before any permutation is built), and
-``monomial_map`` with everything built on it (flips, summand scalings,
-unit families, the collapse laxator, elementary maps); ``block_map`` does
+(decided from the order of the summands, before any offset is
+computed), and ``monomial_map`` with everything built on it (flips,
+summand scalings, unit families, the collapse laxator, elementary
+maps); ``block_map`` does
 the same for the truncation functor and the projection cells, and
 ``collapse_map`` for the collapse functor's image of an identity.  After
 their checks, ``compose`` and ``tensor_map`` apply the unit laws to it by
@@ -561,51 +562,75 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
 def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> GradedMap:
     """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a permutation at each degree.
 
-    The basis vector (i, j, k, a, b, c) sits at column
-    ``s0 + (p0 + a dy + b) dz + c`` of the source layout and at row
-    ``t0 + a dyz + q0 + b dz + c`` of the target layout.  Here ``p0`` and
-    ``q0`` are the offsets of X_i (x) Y_j and Y_j (x) Z_k in their
-    degrees, and ``s0`` and ``t0`` those of (X (x) Y)_m (x) Z_k and
-    X_i (x) (Y (x) Z)_m', all from ``_summand_offsets``.
+    In degree n the basis vector (i, j, k, a, b, c) of X_i (x) Y_j (x) Z_k
+    sits at the place of the key (i + j, i, a, b, c) among the source keys
+    and at the place of (i, a, j, b, c) among the target keys: the layout
+    orders summands by first-factor degree, and indices row-major inside a
+    summand.  Within one degree (i + j, i) names the summand, since j and
+    k follow from it and n.  So the source keeps each summand contiguous, in
+    (i + j, i) order.  The target keeps it contiguous, in (i, j) order,
+    when dim X_i = 1 or no other summand of that degree has the same i;
+    otherwise the a-slices of those summands interleave.  The map is
+    therefore the identity exactly when, in every degree, sorting the
+    summands by (i + j, i) gives their (i, j) order and no X_i with
+    dim X_i > 1 appears in two summands.
 
-    Both sides have the same dimension at every degree and each summand
-    block moves rigidly, so the permutation is the identity exactly when
-    every summand starts at the same place on both sides,
-    ``s0 + p0 dz == t0 + q0``, and ``dx == 1`` or ``dy dz == dyz``.  The
-    first condition implies the second: a summand fills ``dx dy dz``
-    consecutive source columns, so with ``dx > 1`` the next summand of
-    X_i (x) (Y (x) Z)_m', at row ``t0 + q0 + dy dz``, would start inside
-    it.  The offsets are compared first, and when they all agree the
-    interned identity is returned without building a permutation.
+    One walk over (i, j, k), ascending, lists each degree's summands in
+    (i, j) order, where both conditions compare neighbours.  When they
+    hold, the interned identity is returned and no offset is computed;
+    otherwise the permutation is laid out from the same lists.
     """
-    xy, yz = tensor_obj(x, y), tensor_obj(y, z)
-    src, tgt = tensor_obj(xy, z), tensor_obj(x, yz)
-    outer_l, inner_l = _summand_offsets(xy, z), _summand_offsets(x, y)
-    outer_r, inner_r = _summand_offsets(x, yz), _summand_offsets(y, z)
-    summands = []
+    add = x.monoid.add
+    walk: dict = {}  # n -> [(i + j, i, dim X_i, dim Y_j, dim Z_k, j + k)]
     trivial = True
-    for (i, j), (m, p0) in inner_l.items():
-        dx, dy = x.dim(i), y.dim(j)
-        for k, dz in z.dims:
-            n, s0 = outer_l[(m, k)]
-            mr, q0 = inner_r[(j, k)]
-            col0, row0 = s0 + p0 * dz, outer_r[(i, mr)][1] + q0
-            trivial = trivial and col0 == row0
-            summands.append((n, col0, row0, dx, dy, dz, yz.dim(mr)))
+    for i, dx in x.dims:
+        for j, dy in y.dims:
+            m = add(i, j)
+            for k, dz in z.dims:
+                n = add(m, k)
+                s = (m, i, dx, dy, dz, add(j, k))
+                seq = walk.get(n)
+                if seq is None:
+                    walk[n] = [s]
+                else:
+                    # (i + j, i) ascending, and dim X_i = 1 where i repeats
+                    t = seq[-1]
+                    trivial = trivial and t < s and (t[1] != i or dx == 1)
+                    seq.append(s)
+    src = tensor_obj(tensor_obj(x, y), z)
     if trivial:
         return identity(field, src)
-    rows = {n: [0] * k for n, k in src.dims}
-    for n, col0, row0, dx, dy, dz, dyz in summands:
-        perm = rows[n]
-        for a in range(dx):
-            for b in range(dy):
-                col = col0 + (a * dy + b) * dz
-                row = row0 + a * dyz + b * dz
-                for c in range(dz):
-                    perm[col + c] = row + c
+    yz = tensor_obj(y, z)
+    tgt = tensor_obj(x, yz)
     units = _units(field, tgt.total_dim)
-    return GradedMap(field, src, tgt, tuple(
-        (n, tuple(units[r] for r in perm)) for n, perm in rows.items()))
+    blocks = []
+    for n, seq in sorted(walk.items()):
+        # source: each summand contiguous, in (i + j, i) order
+        cols, size = {}, 0
+        for s in sorted(seq):
+            cols[s] = size
+            size += s[2] * s[3] * s[4]
+        # target: X_i (x) (Y (x) Z)_(j+k) in ascending i; Y_j (x) Z_k starts
+        # q0 rows into each of its dim X_i slices
+        perm = [None] * size
+        end = t0 = q0 = 0
+        last = None
+        for s in seq:
+            m, i, dx, dy, dz, mr = s
+            if i != last:
+                t0, q0, last = end, 0, i
+            dyz = yz.dim(mr)
+            col = cols[s]
+            for a in range(dx):
+                for b in range(dy):
+                    row = t0 + a * dyz + q0 + b * dz
+                    for c in range(dz):
+                        perm[col] = units[row + c]
+                        col += 1
+            q0 += dy * dz
+            end += dx * dy * dz
+        blocks.append((n, tuple(perm)))
+    return GradedMap(field, src, tgt, tuple(blocks))
 
 
 @cache

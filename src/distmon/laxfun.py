@@ -179,19 +179,33 @@ def compose_lax(g: LaxFunctor, f: LaxFunctor) -> LaxFunctor:
 # checkers
 
 
+def _laxators(func: LaxFunctor) -> Callable:
+    """``func.mu``, each laxator built once per call of ``_laxators``: a
+    table local to one check, so no functor keeps it."""
+    built: dict = {}
+
+    def mu(x, y):
+        got = built.get((x, y))
+        if got is None:
+            got = built[(x, y)] = func.mu(x, y)
+        return got
+    return mu
+
+
 def check_lax_axioms(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """Lax pentagon over universe triples and both unit triangles."""
     field = func.target.field
     src_unit = func.source.unit
+    mu = _laxators(func)
 
     def unit_sides(x):
         fx = func.obj(x)
         lhs = compose(func.mor(left_unitor(field, x)),
-                      compose(func.mu(src_unit, x),
+                      compose(mu(src_unit, x),
                               tensor_map(func.mu0, identity(field, fx))))
         yield Side(lhs, left_unitor(field, fx), note="left unit")
         lhs = compose(func.mor(right_unitor(field, x)),
-                      compose(func.mu(x, src_unit),
+                      compose(mu(x, src_unit),
                               tensor_map(identity(field, fx), func.mu0)))
         yield Side(lhs, right_unitor(field, fx), note="right unit")
 
@@ -200,11 +214,11 @@ def check_lax_axioms(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
             fx, fy, fz = func.obj(x), func.obj(y), func.obj(z)
             lhs = compose(
                 func.mor(associator(field, x, y, z)),
-                compose(func.mu(tensor_obj(x, y), z),
-                        tensor_map(func.mu(x, y), identity(field, fz))))
+                compose(mu(tensor_obj(x, y), z),
+                        tensor_map(mu(x, y), identity(field, fz))))
             rhs = compose(
-                func.mu(x, tensor_obj(y, z)),
-                compose(tensor_map(identity(field, fx), func.mu(y, z)),
+                mu(x, tensor_obj(y, z)),
+                compose(tensor_map(identity(field, fx), mu(y, z)),
                         associator(field, fx, fy, fz)))
             yield (x, y, z), [Side(lhs, rhs, triple_decoder_left(fx, fy, fz))]
 
@@ -224,11 +238,13 @@ def check_SLambda(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
 
 def check_Ssigma(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """F(sigma_{X,Y}) o mu(X,Y) = mu(Y,X) o sigma'_{FX,FY}."""
+    mu = _laxators(func)
+
     def pairs():
         for x, y in product(func.source.universe, repeat=2):
             fx, fy = func.obj(x), func.obj(y)
-            lhs = compose(func.mor(func.source.sigma_map(x, y)), func.mu(x, y))
-            rhs = compose(func.mu(y, x), func.target.sigma_map(fx, fy))
+            lhs = compose(func.mor(func.source.sigma_map(x, y)), mu(x, y))
+            rhs = compose(mu(y, x), func.target.sigma_map(fx, fy))
             yield (x, y), [Side(lhs, rhs, pair_decoder(fx, fy))]
 
     return decide("Ssigma", Phase(pairs(), budget.max_object_tuples))

@@ -552,6 +552,46 @@ def test_constructors_return_the_interned_identity_exactly_for_identities(
                                     ref_identity_blocks(field, tau_small.obj(x)))
 
 
+def associator_objects(monoid, tables, products):
+    """The objects with these degree tables, then the tensor products of the
+    listed index pairs: degrees with several summands, and summands whose
+    X_i has dimension above 1."""
+    objs = [GradedObject.of(monoid, t) for t in tables]
+    return objs + [tensor_obj(objs[a], objs[b]) for a, b in products]
+
+
+ASSOCIATOR_OBJECTS = [
+    associator_objects(NAT, [{0: 1}, {1: 1}, {0: 2}, {2: 1}, {0: 1, 1: 1},
+                             {0: 1, 2: 2}, {1: 3}, {0: 2, 1: 1}, {1: 2, 2: 1},
+                             {0: 3, 2: 1}],
+                       [(4, 4), (7, 4), (1, 8)]),
+    associator_objects(PARITY, [{0: 1}, {1: 1}, {0: 2}, {0: 1, 1: 1},
+                                {0: 1, 1: 2}, {0: 3, 1: 1}],
+                       [(3, 4)]),
+]
+
+
+@pytest.mark.parametrize("universe", ASSOCIATOR_OBJECTS, ids=["nat", "parity"])
+def test_associator_matches_the_label_reference_on_every_triple(universe):
+    """Every triple of a fixed list: ``associator`` and ``associator_inv``
+    equal the reference built from basis label lists, and are the interned
+    identity exactly when the reference is the identity."""
+    field = RATIONAL
+    trivial = 0
+    for x, y, z in product(universe, repeat=3):
+        ref = ref_associator(field, x, y, z)
+        a, a_inv = associator(field, x, y, z), associator_inv(field, x, y, z)
+        assert dense(a) == ref
+        assert dense(a_inv) == {d: [list(col) for col in zip(*rows)]
+                                for d, rows in ref.items()}
+        src = a.source
+        is_ref_identity = src is a.target and ref == ref_identity_blocks(field, src)
+        assert (a is identity(field, src)) == is_ref_identity
+        assert (a_inv is a) == is_ref_identity
+        trivial += is_ref_identity
+    assert 0 < trivial < len(universe) ** 3
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.sampled_from(FIELDS), monoids)
 def test_a_near_identity_monomial_map_is_never_interned(data, field, monoid):

@@ -111,6 +111,25 @@ def test_corrupted_laxator_fails_pentagon():
     assert rep.witness is not None
 
 
+def test_each_laxator_is_built_once_per_check():
+    """The lax axioms and Ssigma look laxators up in a table local to one
+    check: each mu(X, Y) is built once per call, and again by the next
+    call, so no functor keeps the table."""
+    t1 = truncation_functor(nat_ds(), 1)
+    built = []
+
+    def counting_mu(x, y, _mu=t1.mu):
+        built.append((x, y))
+        return _mu(x, y)
+
+    counted = replace(t1, mu=counting_mu)
+    for check in (check_lax_axioms, check_Ssigma):
+        for _ in range(2):
+            built.clear()
+            assert check(counted, BUDGET).passed
+            assert len(built) == len(set(built)) > 0
+
+
 # ---------------------------------------------------------------------------
 # collapse
 
