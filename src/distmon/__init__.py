@@ -16,14 +16,14 @@ from .exactlin import (
 )
 from .reports import CheckBudget, CheckReport, Coverage, Witness
 from .distortion import (
-    DistortedStructure, StructuralBinary, StructuralUnit, Tabulated,
+    DistortedStructure, StructuralFamily, Tabulated,
     character_family, check_D1, check_D2, check_D3, check_D4,
     check_lambda_sigma_commute, classify_scalar_unit_families,
     graded_character, identity_unit, koszul_braiding, symmetric_braiding,
     tabulate_binary,
 )
 from .twist import (
-    InvertibilityReport, StructuralIdempotent, check_idempotent_axiom,
+    InvertibilityReport, check_idempotent_axiom,
     identity_idempotent, invertibility_test, parity_projector,
     search_structural_idempotents, twist,
 )
@@ -39,7 +39,7 @@ from .transform import (
     scalar_transformation, vertical,
 )
 from .harness import (
-    GOLDEN, Scenario, builtin_examples, default_universe, emit_report,
+    GOLDEN, Scenario, builtin_examples, emit_report,
     generate_universe, load_scenario, run_examples, run_suite,
     scenario_from_dict,
 )

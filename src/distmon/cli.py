@@ -11,14 +11,7 @@ import argparse
 import sys
 
 from .errors import CoverageError, ScenarioError, StructureMismatch
-from .exactlin import MONOIDS
-from .fields import RATIONAL
-from .distortion import koszul_braiding, symmetric_braiding
-from .harness import (
-    default_universe, emit_report, load_scenario, run_examples, run_suite,
-)
-from .reports import CheckBudget
-from .twist import search_structural_idempotents
+from .harness import emit_report, load_scenario, run_examples, run_suite
 
 
 def _cmd_check(args) -> int:
@@ -34,26 +27,6 @@ def _cmd_examples(args) -> int:
     text, ok = run_examples(args.format, seed=args.seed)
     sys.stdout.write(text)
     return 0 if ok else 1
-
-
-def _cmd_search(args) -> int:
-    monoid = MONOIDS[args.grading]
-    braiding = koszul_braiding() if args.braiding == "koszul" \
-        else symmetric_braiding()
-    universe = default_universe(monoid)
-    report = search_structural_idempotents(RATIONAL, braiding, universe,
-                                           CheckBudget())
-    for row in report.rows:
-        verdicts = " ".join(
-            f"{r.axiom}={r.verdict}" for r in row.reports
-        )
-        sys.stdout.write(f"c(1,1)={row.odd_odd_coefficient}: {verdicts}\n")
-    joint = report.satisfying(("E0", "E1", "BL"))
-    sys.stdout.write(
-        "satisfying {E0, E1, BL} jointly: "
-        + (", ".join(f"c(1,1)={v}" for v in joint) or "none") + "\n"
-    )
-    return 0
 
 
 def main(argv=None) -> int:
@@ -77,13 +50,6 @@ def main(argv=None) -> int:
     p_ex.add_argument("--format", choices=("text", "json"), default="text")
     p_ex.add_argument("--seed", type=int, default=None)
     p_ex.set_defaults(func=_cmd_examples)
-
-    p_search = sub.add_parser("search-idempotents",
-                              help="enumerate normalized structural idempotents")
-    p_search.add_argument("--grading", choices=("parity",), default="parity")
-    p_search.add_argument("--braiding", choices=("koszul", "symmetric"),
-                          default="koszul")
-    p_search.set_defaults(func=_cmd_search)
 
     args = parser.parse_args(argv)
     try:

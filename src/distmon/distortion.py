@@ -1,10 +1,13 @@
 """Distortion data on graded vector spaces and its axiom checkers.
 
-A binary family assigns to each object pair a map X (x) Y -> Y (x) X;
-structural families do so by flipping every summand X_i (x) Y_j onto
-Y_j (x) X_i, scaled by a per-degree-pair coefficient and, for the Koszul
-rule, by the parity sign (-1)^(i*j).  A unit family assigns to each
-object an endomorphism acting degreewise by scalars.
+A binary family assigns to each object pair a map X (x) Y -> Y (x) X, and
+a unit family assigns to each object an endomorphism.  A structural
+family is one scalar per degree tuple laid out as a map: a coefficient
+rule ``(field, *degrees) -> scalar`` and a builder from ``exactlin``.
+The braidings and twists flip every summand X_i (x) Y_j onto
+Y_j (x) X_i scaled by c(i, j) (the Koszul rule is (-1)^(i*j), and its
+builder refuses a grading other than parity); the idempotents scale
+X_i (x) Y_j in place; Lambda scales X_m by a(m).
 
 Checkers decide the four structure axioms by exact matrix equality:
 binaturality, unit normalization, both typed hexagons, and
@@ -20,6 +23,7 @@ touch a matrix; it cross-checks every tuple the matrices decide.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -27,7 +31,7 @@ from .errors import BadUnitScalar, CoverageError, MonoidMismatch
 from .fields import RATIONAL
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, TRIVIAL,
-    compose, elementary_maps, flip_map, identity, monomial_map,
+    compose, degree_scaling, elementary_maps, flip_map, identity,
     associator, associator_inv,
     left_unitor, left_unitor_inv, right_unitor, right_unitor_inv,
     pair_decoder, sort_universe, tensor_map,
@@ -41,40 +45,32 @@ STRUCTURAL_NOTE = "structural: exact for all morphisms"
 
 
 # ---------------------------------------------------------------------------
-# binary families (the distortion sigma, braidings, twists)
+# families
 
 
-class StructuralBinary:
-    """Total family defined by a scalar per degree pair plus a sign rule."""
+class StructuralFamily:
+    """A family given by one scalar per degree tuple: ``at(field, *objects)``
+    is ``build(field, *objects, coeff)`` with ``coeff(*degrees) =
+    coefficient(field, *degrees)``, built once per (field, objects)."""
 
     structural = True
 
-    def __init__(self, scale: Callable, sign: str = "none", label: str = ""):
-        if sign not in ("none", "koszul"):
-            raise ValueError(f"unknown sign rule {sign!r}")
-        self.scale = scale  # (field, i, j) -> scalar
-        self.sign = sign
+    def __init__(self, build: Callable, coefficient: Callable, label: str = ""):
+        self.build = build
+        self.coefficient = coefficient
         self.label = label
         self._memo: dict = {}
 
-    def coefficient(self, field, i: int, j: int):
-        s = self.scale(field, i, j)
-        if self.sign == "koszul" and (i * j) % 2:
-            s = field.neg(s)
-        return s
-
-    def at(self, field, x: GradedObject, y: GradedObject) -> GradedMap:
-        if self.sign == "koszul" and x.monoid.kind != "parity":
-            raise MonoidMismatch("Koszul sign rule needs parity grading")
-        key = (field, x, y)
+    def at(self, field, *objects: GradedObject) -> GradedMap:
+        key = (field, *objects)
         got = self._memo.get(key)
         if got is None:
-            got = flip_map(field, x, y, lambda i, j: self.coefficient(field, i, j))
-            self._memo[key] = got
+            got = self._memo[key] = self.build(
+                field, *objects, partial(self.coefficient, field))
         return got
 
     def __repr__(self):
-        return f"StructuralBinary({self.label or self.sign})"
+        return f"StructuralFamily({self.label})"
 
 
 class Tabulated:
@@ -101,14 +97,6 @@ class Tabulated:
         return f"Tabulated({self.label}, {len(self.entries)} entries)"
 
 
-def symmetric_braiding() -> StructuralBinary:
-    return StructuralBinary(lambda f, i, j: f.one, "none", "symmetric")
-
-
-def koszul_braiding() -> StructuralBinary:
-    return StructuralBinary(lambda f, i, j: f.one, "koszul", "koszul")
-
-
 def tabulate_binary(family, field, pairs) -> Tabulated:
     """Materialize a family over explicit object pairs."""
     return Tabulated(
@@ -117,46 +105,34 @@ def tabulate_binary(family, field, pairs) -> Tabulated:
     )
 
 
-# ---------------------------------------------------------------------------
-# unit families (the distortion Lambda)
+def _parity_flip(field, x: GradedObject, y: GradedObject, coeff) -> GradedMap:
+    """``flip_map`` for a rule with the Koszul sign, defined on parity only."""
+    if x.monoid.kind != "parity":
+        raise MonoidMismatch("Koszul sign rule needs parity grading")
+    return flip_map(field, x, y, coeff)
 
 
-class StructuralUnit:
-    """Family acting on X_m by a per-degree scalar times the identity."""
-
-    structural = True
-
-    def __init__(self, scale: Callable, label: str = ""):
-        self.scale = scale  # (field, m) -> scalar
-        self.label = label
-        self._memo: dict = {}
-
-    def at(self, field, x: GradedObject) -> GradedMap:
-        key = (field, x)
-        got = self._memo.get(key)
-        if got is None:
-            columns = {}
-            for d, k in x.dims:
-                s = self.scale(field, d)
-                columns[d] = [(r, s) for r in range(k)]
-            got = monomial_map(field, x, x, columns)
-            self._memo[key] = got
-        return got
-
-    def __repr__(self):
-        return f"StructuralUnit({self.label})"
+def symmetric_braiding() -> StructuralFamily:
+    return StructuralFamily(flip_map, lambda f, i, j: f.one, "symmetric")
 
 
-def identity_unit() -> StructuralUnit:
-    return StructuralUnit(lambda f, m: f.one, "identity")
+def koszul_braiding() -> StructuralFamily:
+    return StructuralFamily(
+        _parity_flip, lambda f, i, j: f.neg(f.one) if (i * j) % 2 else f.one,
+        "koszul")
 
 
-def graded_character(t) -> StructuralUnit:
+def identity_unit() -> StructuralFamily:
+    return StructuralFamily(degree_scaling, lambda f, m: f.one, "identity")
+
+
+def graded_character(t) -> StructuralFamily:
     """Degreewise scaling by t**m; the caller supplies t in the right field."""
-    return StructuralUnit(lambda f, m: f.pow(t, m), f"character(t={t})")
+    return StructuralFamily(degree_scaling, lambda f, m: f.pow(t, m),
+                            f"character(t={t})")
 
 
-def character_family(field, coeffs: Sequence) -> StructuralUnit:
+def character_family(field, coeffs: Sequence) -> StructuralFamily:
     """Degreewise scaling by an explicit table, zero beyond the table."""
     coeffs = tuple(coeffs)
     if not coeffs or coeffs[0] != field.one:
@@ -165,7 +141,8 @@ def character_family(field, coeffs: Sequence) -> StructuralUnit:
     def scale(f, m, _c=coeffs):
         return _c[m] if m < len(_c) else f.zero
 
-    return StructuralUnit(scale, f"table{[field.fmt(c) for c in coeffs]}")
+    return StructuralFamily(degree_scaling, scale,
+                            f"table{[field.fmt(c) for c in coeffs]}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +194,7 @@ def basis_quadruples(field, universe, image: Callable = lambda u: u):
         yield (x, y, xp, yp), basis(x, xp), basis(y, yp)
 
 
-def binaturality_phase(axiom: str, field, family_at: Callable, universe,
+def binaturality_phase(field, family_at: Callable, universe,
                        budget: CheckBudget, flips: bool = True) -> Phase:
     """Naturality in both arguments, decided on every pair (f, g) of
     elementary basis maps.
@@ -298,7 +275,7 @@ def scalar_route(field, monoid, c: Callable, s: Callable, axioms) -> Callable:
 
 def check_D1(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     """Binaturality of sigma, decided on every pair of elementary maps."""
-    return decide("D1", binaturality_phase("D1", ds.field, ds.sigma_map,
+    return decide("D1", binaturality_phase(ds.field, ds.sigma_map,
                                            ds.universe, budget),
                   note=STRUCTURAL_NOTE if ds.sigma.structural else None)
 
@@ -402,7 +379,8 @@ def classify_scalar_unit_families(field) -> list:
     unit = unit_object(TRIVIAL)
     out = []
     for c in candidates:
-        lam = StructuralUnit(lambda f, m, _c=c: _c, f"const={field.fmt(c)}")
+        lam = StructuralFamily(degree_scaling, lambda f, m, _c=c: _c,
+                               f"const={field.fmt(c)}")
         ds = DistortedStructure(field, TRIVIAL, universe, symmetric_braiding(), lam)
         if not check_D4(ds, budget).passed:
             continue

@@ -14,10 +14,10 @@ one form: the offset of each summand in its degree.  Every map whose
 entries depend on it is built here: the associators and unitors, the
 flips X (x) Y -> Y (x) X, the summand scalings of X (x) Y, the collapse
 functor's laxator, and the decoders that name the factor degrees of a
-witness column.  They are concrete monomial matrices, and every identity
-in this package is decided by entrywise scalar equality.  The
-elementary maps, one entry 1 each, are the basis over which naturality is
-decided.
+witness column; the degree scalings of X sit beside them.  They are
+concrete monomial matrices, and every identity in this package is
+decided by entrywise scalar equality.  The elementary maps, one entry 1
+each, are the basis over which naturality is decided.
 
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
@@ -38,13 +38,12 @@ Every constructor here returns that map when its result is the identity
 between equal objects: the unitors, ``associator``/``associator_inv``
 (decided from the order of the summands, before any offset is
 computed), and ``monomial_map`` with everything built on it (flips,
-summand scalings, unit families, the collapse laxator, elementary
-maps); ``block_map`` does
-the same for the truncation functor and the projection cells, and
-``collapse_map`` for the collapse functor's image of an identity.  After
-their checks, ``compose`` and ``tensor_map`` apply the unit laws to it by
-reference.  ``graded_map`` never interns, so a value-equal copy takes the
-generic path.
+summand and degree scalings, the collapse laxator, elementary maps);
+``block_map`` does the same for the truncation functor and the
+projection cells, and ``collapse_map`` for the collapse functor's image
+of an identity.  After their checks, ``compose`` and ``tensor_map``
+apply the unit laws to it by reference.  ``graded_map`` never interns,
+so a value-equal copy takes the generic path.
 """
 
 from __future__ import annotations
@@ -685,6 +684,16 @@ def summand_scaling(field, x: GradedObject, y: GradedObject,
         for r in range(s0, s0 + x.dim(i) * y.dim(j)):
             col[r] = (r, v)
     return monomial_map(field, xy, xy, columns)
+
+
+def degree_scaling(field, x: GradedObject,
+                   coeff: Callable[[int], object]) -> GradedMap:
+    """The endomorphism of X acting on X_m by coeff(m) times the identity."""
+    columns = {}
+    for d, k in x.dims:
+        v = coeff(d)
+        columns[d] = [(r, v) for r in range(k)]
+    return monomial_map(field, x, x, columns)
 
 
 def collapse_laxator(field, x: GradedObject, y: GradedObject,

@@ -72,14 +72,6 @@ def generate_universe(monoid, max_degree: int, max_dim: int,
     return sort_universe(objs)
 
 
-def default_universe(monoid) -> tuple[GradedObject, ...]:
-    if monoid.kind == "parity":
-        return generate_universe(monoid, 1, 1, 2)
-    if monoid.kind == "nat":
-        return generate_universe(monoid, 2, 1, 2)
-    return generate_universe(monoid, 0, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # scenarios: each document field is validated and built in one place
 

@@ -256,8 +256,10 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
 
     Both sides are bilinear in (u, v) because ``F.mor`` is linear, so the
     basis pairs decide the square for all maps; ``F(u)`` of each basis map
-    is built once per check.
+    and each laxator are built once per check.
     """
+    mu = _laxators(func)
+
     def quadruples():
         for (x, y, xp, yp), us, vs in basis_quadruples(
                 func.source.field, func.source.universe, func.mor):
@@ -265,10 +267,10 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
                 yield (x, y, xp, yp), ()
                 continue
             decode = pair_decoder(func.obj(x), func.obj(y))
-            mu, mu_p = func.mu(x, y), func.mu(xp, yp)
+            mu_xy, mu_p = mu(x, y), mu(xp, yp)
             yield (x, y, xp, yp), (
                 Side(compose(mu_p, tensor_map(fu, fv)),
-                     compose(func.mor(tensor_map(u, v)), mu), decode)
+                     compose(func.mor(tensor_map(u, v)), mu_xy), decode)
                 for (u, fu), (v, fv) in product(us, vs))
 
     return decide("laxator_naturality",

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .errors import StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, block_map, compose, identity, monomial_map,
+    GradedMap, GradedObject, block_map, compose, degree_scaling, identity,
     pair_decoder, tensor_map, tensor_obj,
 )
 from .laxfun import LaxFunctor, compose_lax, identity_functor
@@ -77,9 +77,7 @@ def scalar_transformation(func: LaxFunctor, c) -> MonNatTrans:
     field = func.target.field
 
     def component(x: GradedObject) -> GradedMap:
-        fx = func.obj(x)
-        return monomial_map(field, fx, fx,
-                            {d: [(r, c) for r in range(k)] for d, k in fx.dims})
+        return degree_scaling(field, func.obj(x), lambda m: c)
 
     return MonNatTrans(f"scalar[{field.fmt(c)}]", func, func, component)
 

@@ -1,9 +1,10 @@
 """Idempotent families, twisted distortions, and their axiom table.
 
-A structural idempotent acts on the summand X_i (x) Y_j by 0 or 1; the
-twist of a braiding by such a family composes the two, producing
-coherent but generally non-invertible interchanges.  Eight axiom ids are
-checked here:
+A structural idempotent is a ``StructuralFamily`` that acts on the
+summand X_i (x) Y_j by a coefficient rule c(i, j) with values 0 or 1; the
+twist of a structural braiding by it keeps the braiding's builder and
+multiplies the two rules, producing coherent but generally
+non-invertible interchanges.  Eight axiom ids are checked here:
 
 * ``E0``  idempotency plus binaturality,
 * ``E1``  normalization against the unit object,
@@ -28,7 +29,7 @@ from typing import Optional
 
 from dataclasses import dataclass
 
-from .errors import MonoidMismatch, ObjectMismatch
+from .errors import MonoidMismatch
 from .exactlin import (
     GradedMap, GradedObject, associator, associator_inv, compose,
     identity, mat_rank, pair_decoder, sort_universe, summand_scaling,
@@ -37,7 +38,7 @@ from .exactlin import (
 )
 # scalar_axiom_sides is re-exported beside the axiom table it evaluates
 from .distortion import (
-    STRUCTURAL_NOTE, StructuralBinary, binaturality_phase, scalar_axiom_sides,
+    STRUCTURAL_NOTE, StructuralFamily, binaturality_phase, scalar_axiom_sides,
     scalar_route,
 )
 from .reports import CheckBudget, CheckReport, Phase, Side, decide
@@ -49,53 +50,21 @@ AXIOMS = ("E0", "E1", "E2L", "E2R", "E2L_cocycle", "E2R_cocycle", "BL", "BR")
 # idempotent families
 
 
-class StructuralIdempotent:
-    """Acts on X_i (x) Y_j by c(i, j) in {0, 1}; stored as the zero set."""
-
-    structural = True
-
-    def __init__(self, zero_pairs=(), label: str = ""):
-        self.zero_pairs = frozenset(zero_pairs)
-        self.label = label
-        self._memo: dict = {}
-
-    @staticmethod
-    def from_table(table: dict, label: str = "") -> "StructuralIdempotent":
-        """Build from an explicit (i, j) -> scalar table; rejects scalars
-        other than 0 and 1, which could not be idempotent."""
-        zero_pairs = set()
-        for pair, value in table.items():
-            if value == 0:
-                zero_pairs.add(pair)
-            elif value != 1:
-                raise ObjectMismatch(
-                    f"idempotent coefficient at {pair} must be 0 or 1, got {value!r}"
-                )
-        return StructuralIdempotent(zero_pairs, label)
-
-    def coefficient(self, field, i: int, j: int):
-        return field.zero if (i, j) in self.zero_pairs else field.one
-
-    def at(self, field, x: GradedObject, y: GradedObject) -> GradedMap:
-        key = (field, x, y)
-        got = self._memo.get(key)
-        if got is None:
-            got = summand_scaling(field, x, y,
-                                  lambda i, j: self.coefficient(field, i, j))
-            self._memo[key] = got
-        return got
-
-    def __repr__(self):
-        return f"StructuralIdempotent(zero_pairs={sorted(self.zero_pairs)})"
+def _parity_normalized(c11: int, label: str) -> StructuralFamily:
+    """The idempotent acting by c11 on X_1 (x) Y_1 and by 1 elsewhere."""
+    return StructuralFamily(
+        summand_scaling,
+        lambda f, i, j: (f.zero, f.one)[c11] if (i, j) == (1, 1) else f.one,
+        label)
 
 
-def identity_idempotent() -> StructuralIdempotent:
-    return StructuralIdempotent((), "identity")
+def identity_idempotent() -> StructuralFamily:
+    return StructuralFamily(summand_scaling, lambda f, i, j: f.one, "identity")
 
 
-def parity_projector() -> StructuralIdempotent:
+def parity_projector() -> StructuralFamily:
     """Kills the odd-odd summand, identity on the other three."""
-    return StructuralIdempotent({(1, 1)}, "parity_projector")
+    return _parity_normalized(0, "parity_projector")
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +86,12 @@ class ComposedBinary:
 
 
 def twist(beta, e):
-    """The family beta o e; structural whenever both inputs are."""
-    if isinstance(beta, StructuralBinary) and isinstance(e, StructuralIdempotent):
-        return StructuralBinary(
-            lambda f, i, j: f.mul(beta.scale(f, i, j), e.coefficient(f, i, j)),
-            beta.sign,
+    """The family beta o e.  When both inputs are structural it is beta's
+    builder applied to the product of the two coefficient rules."""
+    if beta.structural and e.structural:
+        return StructuralFamily(
+            beta.build,
+            lambda f, i, j: f.mul(beta.coefficient(f, i, j), e.coefficient(f, i, j)),
             f"twist({beta.label},{e.label})",
         )
     return ComposedBinary(beta, e, "twist")
@@ -200,7 +170,7 @@ def check_idempotent_axiom(field, e, axiom: str, universe, budget: CheckBudget,
                 yield (x, y), [Side(compose(m, m), m, pair_decoder(x, y))]
 
         naturality = binaturality_phase(
-            "E0", field, lambda a, b: e.at(field, a, b), objs, budget, flips=False)
+            field, lambda a, b: e.at(field, a, b), objs, budget, flips=False)
         return decide("E0", Phase(idempotency()), naturality,
                       note=STRUCTURAL_NOTE if e.structural else None)
 
@@ -318,7 +288,7 @@ def search_structural_idempotents(field, beta, universe,
         raise MonoidMismatch("the structural idempotent search is parity-only")
     rows = []
     for c11 in (0, 1):
-        e = StructuralIdempotent({(1, 1)} if c11 == 0 else (), f"c11={c11}")
+        e = _parity_normalized(c11, f"c11={c11}")
         reports = tuple(
             check_idempotent_axiom(field, e, axiom, objs, budget, beta=beta)
             for axiom in AXIOMS

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion.
 
 Every comparison is exact (no tolerances anywhere); each test prints one
-pass/fail line.  Criterion universes are the package defaults: the desk
-scale stays at <= 12 objects, per-degree dimensions <= 2, degrees <= 2.
+pass/fail line.  Criterion universes are generated from fixed bounds: the
+desk scale stays at <= 12 objects, per-degree dimensions <= 2, degrees
+<= 2.
 """
 
 import json
@@ -15,7 +16,7 @@ from distmon import (
     check_base, check_D1, check_D2, check_D3, check_D4,
     check_idempotent_axiom, check_interchange, check_horizontal_strictness,
     check_SLambda, check_triple_strictness, classify_scalar_unit_families,
-    collapse_functor, compose, default_universe,
+    collapse_functor, compose, generate_universe,
     graded_character, identity_idempotent, identity_transformation,
     identity_unit, invertibility_test, koszul_braiding, parity_projector,
     projection_transformation, run_examples,
@@ -30,8 +31,8 @@ from conftest import obj
 
 BUDGET = CheckBudget()
 
-PARITY_UNIVERSE = default_universe(PARITY)
-NAT_UNIVERSE = default_universe(NAT)
+PARITY_UNIVERSE = generate_universe(PARITY, 1, 1, 2)
+NAT_UNIVERSE = generate_universe(NAT, 2, 1, 2)
 
 
 def report_line(number, description, ok):

@@ -20,7 +20,7 @@ import pytest
 
 from distmon import (
     NAT, PARITY, TRIVIAL, DistortedStructure, GradedMap, GradedObject,
-    PrimeField, StructuralUnit, associator, associator_inv, collapse_map,
+    PrimeField, associator, associator_inv, collapse_map,
     compose, graded_map, identity, identity_unit, left_unitor,
     left_unitor_inv, monomial_map, projection_transformation, right_unitor,
     right_unitor_inv, symmetric_braiding, tensor_map, tensor_obj,
@@ -28,8 +28,8 @@ from distmon import (
 )
 from distmon.errors import MonoidMismatch, ObjectMismatch
 from distmon.exactlin import (
-    collapse_laxator, elementary_maps, flip_map, pair_decoder, summand_scaling,
-    triple_decoder_left, triple_decoder_right,
+    collapse_laxator, degree_scaling, elementary_maps, flip_map, pair_decoder,
+    summand_scaling, triple_decoder_left, triple_decoder_right,
 )
 from distmon.fields import RATIONAL
 from distmon.reports import first_difference
@@ -522,7 +522,7 @@ def test_constructors_return_the_interned_identity_exactly_for_identities(
     assert (collapse_map(f, fx, ft) is identity(field, fx)) == (f is identity(field, x))
 
     scale = scalars(x.degrees)
-    lam = StructuralUnit(lambda _field, m: scale[m]).at(field, x)
+    lam = degree_scaling(field, x, lambda m: scale[m])
     interned_exactly_for_identities(lam, drop_zero(field, {
         d: [[scale[d] if r == c else field.zero for c in range(k)]
             for r in range(k)] for d, k in x.dims}))

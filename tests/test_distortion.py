@@ -212,8 +212,9 @@ def test_D2_catches_bad_unit_component():
 def test_D2_reports_structural_bad_unit_scalar():
     # a structural family with a(0) != 1 is constructible; the checker,
     # not the constructor, reports the violation
-    from distmon.distortion import StructuralUnit
-    lam = StructuralUnit(lambda f, m: f.parse("2"), "const=2")
+    from distmon.distortion import StructuralFamily
+    from distmon.exactlin import degree_scaling
+    lam = StructuralFamily(degree_scaling, lambda f, m: f.parse("2"), "const=2")
     rep = check_D2(parity_ds(symmetric_braiding(), lam), BUDGET)
     assert rep.verdict == "fail"
     assert rep.witness.objects == (unit_object(PARITY),)

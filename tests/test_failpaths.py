@@ -26,8 +26,8 @@ from distmon import (
     scalar_transformation, symmetric_braiding, tabulate_binary, tensor_obj,
     truncation_functor, twist, unit_object,
 )
-from distmon.distortion import StructuralBinary, Tabulated
-from distmon.exactlin import associator, identity
+from distmon.distortion import StructuralFamily, Tabulated
+from distmon.exactlin import associator, flip_map, identity
 from distmon.reports import CheckBudget
 
 from conftest import Q, obj
@@ -379,8 +379,8 @@ def _without_note(report):
     return out[:4] + out[5:]
 
 
-SIGMA_11 = StructuralBinary(  # 2 on X_1 (x) Y_1 and 1 elsewhere: fails D3
-    lambda f, i, j: f.parse("2") if (i, j) == (1, 1) else f.one, label="s11=2")
+SIGMA_11 = StructuralFamily(  # 2 on X_1 (x) Y_1 and 1 elsewhere: fails D3
+    flip_map, lambda f, i, j: f.parse("2") if (i, j) == (1, 1) else f.one, "s11=2")
 
 
 @pytest.mark.parametrize("sigma, lam", [

@@ -5,12 +5,13 @@ import pytest
 
 from distmon import (
     DistortedStructure, GOLDEN, NAT, PARITY, TRIVIAL, builtin_examples,
-    check_D4, default_universe, emit_report, generate_universe,
+    check_D4, emit_report, generate_universe,
     load_scenario, run_examples, run_suite, scenario_from_dict,
     sort_universe, unit_object,
 )
 from distmon.errors import ParseError, ValidationError
 from distmon.harness import scenario_hash
+from distmon.twist import AXIOMS
 from distmon.reports import CheckBudget
 from distmon import cli
 
@@ -38,8 +39,9 @@ def test_generate_universe_nat_singletons():
 
 
 def test_generate_universe_includes_unit():
-    for monoid in (NAT, PARITY, TRIVIAL):
-        assert unit_object(monoid) in default_universe(monoid)
+    for monoid, bounds in ((NAT, (2, 1, 2)), (PARITY, (1, 1, 2)),
+                           (TRIVIAL, (0, 2, 1))):
+        assert unit_object(monoid) in generate_universe(monoid, *bounds)
 
 
 def test_sorted_canonically():
@@ -385,9 +387,16 @@ def test_cli_seed_override_changes_hash_not_verdicts(tmp_path, capsys):
     assert seeded["seed"] == 99
 
 
-def test_cli_search_idempotents(capsys):
-    assert cli.main(["search-idempotents", "--grading", "parity",
-                     "--braiding", "koszul"]) == 0
+def test_cli_check_prints_both_search_rows(tmp_path, capsys):
+    """The idempotent search runs as a ``check``; it has no subcommand."""
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps(minimal_doc(braiding={"kind": "koszul"},
+                                           checks=["search_idempotents"])))
+    assert cli.main(["check", "--scenario", str(path)]) == 1
     out = capsys.readouterr().out
-    assert "c(1,1)=0" in out and "BL=fail" in out
-    assert "satisfying {E0, E1, BL} jointly: c(1,1)=1" in out
+    for c11 in (0, 1):
+        assert all(f"{axiom}[c11={c11}]" in out for axiom in AXIOMS)
+    assert "[FAIL] BL[c11=0]" in out and "[PASS] BL[c11=1]" in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search-idempotents"])
+    assert exc.value.code == 2

@@ -112,9 +112,9 @@ def test_corrupted_laxator_fails_pentagon():
 
 
 def test_each_laxator_is_built_once_per_check():
-    """The lax axioms and Ssigma look laxators up in a table local to one
-    check: each mu(X, Y) is built once per call, and again by the next
-    call, so no functor keeps the table."""
+    """The lax axioms, Ssigma and laxator naturality look laxators up in a
+    table local to one check: each mu(X, Y) is built once per call, and
+    again by the next call, so no functor keeps the table."""
     t1 = truncation_functor(nat_ds(), 1)
     built = []
 
@@ -123,7 +123,7 @@ def test_each_laxator_is_built_once_per_check():
         return _mu(x, y)
 
     counted = replace(t1, mu=counting_mu)
-    for check in (check_lax_axioms, check_Ssigma):
+    for check in (check_lax_axioms, check_Ssigma, check_laxator_naturality):
         for _ in range(2):
             built.clear()
             assert check(counted, BUDGET).passed

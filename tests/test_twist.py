@@ -4,15 +4,16 @@ from itertools import product
 import pytest
 
 from distmon import (
-    DistortedStructure, PARITY, check_D1, check_D2, check_D3,
-    check_idempotent_axiom, compose, generate_universe, graded_map, identity,
-    identity_idempotent, identity_unit, invertibility_test, koszul_braiding,
-    parity_projector, search_structural_idempotents, symmetric_braiding,
-    tensor_obj, twist, unit_object,
+    DistortedStructure, NAT, PARITY, character_family, check_D1, check_D2,
+    check_D3, check_idempotent_axiom, compose, generate_universe,
+    graded_character, graded_map, identity, identity_idempotent,
+    identity_unit, invertibility_test, koszul_braiding, parity_projector,
+    search_structural_idempotents, symmetric_braiding, tensor_obj, twist,
+    unit_object,
 )
-from distmon.errors import MonoidMismatch, ObjectMismatch
+from distmon.errors import MonoidMismatch
 from distmon.distortion import Tabulated
-from distmon.twist import AXIOMS, StructuralIdempotent
+from distmon.twist import AXIOMS
 from distmon.reports import CheckBudget
 
 from conftest import Q, obj
@@ -50,16 +51,6 @@ def test_projector_normalized_on_unit():
     for x in UNIVERSE:
         assert e.at(Q, x, UNIT) == identity(Q, tensor_obj(x, UNIT))
         assert e.at(Q, UNIT, x) == identity(Q, tensor_obj(UNIT, x))
-
-
-def test_from_table_rejects_non_idempotent_scalar():
-    with pytest.raises(ObjectMismatch):
-        StructuralIdempotent.from_table({(1, 1): 2})
-
-
-def test_from_table_accepts_zero_one():
-    e = StructuralIdempotent.from_table({(0, 0): 1, (1, 1): 0})
-    assert e.zero_pairs == frozenset({(1, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +172,47 @@ def test_twist_blocks_multiply_sign_and_projector():
     # even part: (0,0) survives with +1, (1,1) killed ((-1) * 0 = 0)
     assert m.block(0) == ((Fraction(1), Fraction(0)),
                           (Fraction(0), Fraction(0)))
+
+
+def test_twist_of_koszul_keeps_its_parity_guard():
+    sigma = twist(koszul_braiding(), identity_idempotent())
+    x = obj(NAT, {1: 1})
+    with pytest.raises(MonoidMismatch):
+        sigma.at(Q, x, x)
+
+
+def test_twist_coefficient_is_the_product_of_the_rules():
+    beta, e = koszul_braiding(), parity_projector()
+    sigma = twist(beta, e)
+    for i, j in product((0, 1), repeat=2):
+        assert sigma.coefficient(Q, i, j) == \
+            Q.mul(beta.coefficient(Q, i, j), e.coefficient(Q, i, j))
+    assert [sigma.coefficient(Q, i, j) for i, j in product((0, 1), repeat=2)] \
+        == [1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("family, objects", [
+    (symmetric_braiding(), (MIXED, ODD)),
+    (koszul_braiding(), (ODD, ODD)),
+    (twist(koszul_braiding(), parity_projector()), (MIXED, MIXED)),
+    (identity_unit(), (MIXED,)),
+    (graded_character(Q.parse("2")), (MIXED,)),
+    (character_family(Q, [Q.one, Q.parse("3")]), (MIXED,)),
+    (identity_idempotent(), (MIXED, ODD)),
+    (parity_projector(), (MIXED, MIXED)),
+], ids=["symmetric", "koszul", "twist", "identity-unit", "character",
+        "table", "identity-idempotent", "projector"])
+def test_each_family_builds_a_map_once(family, objects):
+    built = []
+
+    def counting_build(*args, _build=family.build):
+        built.append(args[1:-1])
+        return _build(*args)
+
+    family.build = counting_build
+    first = family.at(Q, *objects)
+    assert family.at(Q, *objects) is first
+    assert built == [objects]
 
 
 def test_twist_fails_hexagons():
