@@ -30,15 +30,15 @@ from typing import Callable, Sequence
 from .errors import BadUnitScalar, CoverageError, MonoidMismatch
 from .fields import RATIONAL
 from .exactlin import (
-    GradedMap, GradedObject, GradingMonoid, TRIVIAL,
-    compose, degree_scaling, elementary_maps, flip_map, identity,
+    GradedMap, GradedObject, GradingMonoid, RankOne, TRIVIAL, between,
+    compose, degree_scaling, elementary_maps, entry, flip_map, identity,
     associator, associator_inv,
     left_unitor, left_unitor_inv, right_unitor, right_unitor_inv,
     pair_decoder, sort_universe, tensor_map,
     tensor_obj, triple_decoder_left, triple_decoder_right, unit_object,
 )
 from .reports import (
-    CheckBudget, CheckReport, Phase, Side, decide, equality_witness,
+    HOLDS, CheckBudget, CheckReport, Phase, Side, decide, equality_witness,
 )
 
 STRUCTURAL_NOTE = "structural: exact for all morphisms"
@@ -178,15 +178,19 @@ class DistortedStructure:
 def basis_quadruples(field, universe, image: Callable = lambda u: u):
     """Every object quadruple ``(X, Y, X', Y')`` in canonical order, with the
     elementary bases of Hom(X, X') and Hom(Y, Y'), each basis map ``u``
-    paired with ``image(u)``.  Each basis is built once per call; a zero
-    Hom space gives an empty basis.
+    given as ``(u, image(u), entry(image(u)))``.  Each basis is built once
+    per call; a zero Hom space gives an empty basis.
     """
     bases: dict = {}
+
+    def with_image(u):
+        fu = image(u)
+        return u, fu, entry(fu)
 
     def basis(a, b):
         got = bases.get((a, b))
         if got is None:
-            got = bases[(a, b)] = [(u, image(u))
+            got = bases[(a, b)] = [with_image(u)
                                    for u in elementary_maps(field, a, b)]
         return got
 
@@ -203,17 +207,39 @@ def binaturality_phase(field, family_at: Callable, universe,
     ``(g (x) f) o m_{X,Y} = m_{X',Y'} o (f (x) g)``; for an endomorphism
     family ``f (x) g`` appears on both sides.  Both sides are bilinear in
     (f, g), so the basis pairs decide the square for all maps; a quadruple
-    with a zero Hom space has no pair and holds vacuously.
+    with a zero Hom space has no pair and holds vacuously, and its family
+    maps are not built.  ``f (x) g`` and ``g (x) f`` are elementary, so each
+    side is one row of ``m_{X,Y}`` or one column of ``m_{X',Y'}``, and
+    ``exactlin.RankOne`` decides the pair without building a map; the two
+    composites are built only for a pair it finds unequal, for the witness,
+    or for family maps whose objects do not fit the square.
     """
+    ranks = RankOne(field)
+
     def instances():
         for (x, y, xp, yp), fs, gs in basis_quadruples(field, universe):
+            if not (fs and gs):
+                yield (x, y, xp, yp), ()
+                continue
             m_src = family_at(x, y)
             m_tgt = family_at(xp, yp)
             decode = pair_decoder(x, y)
-            yield (x, y, xp, yp), (
-                Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
-                     compose(m_tgt, tensor_map(f, g)), decode)
-                for (f, _), (g, _) in product(fs, gs))
+            out, outp = ((y, x), (yp, xp)) if flips else ((x, y), (xp, yp))
+            fits = (between(m_src, tensor_obj(x, y), tensor_obj(*out))
+                    and between(m_tgt, tensor_obj(xp, yp), tensor_obj(*outp)))
+
+            def side(f, ef, g, eg):
+                e2 = ranks.tensor(x, y, xp, yp, ef, eg)
+                e = ranks.tensor(y, x, yp, xp, eg, ef) if flips else e2
+                if fits and ranks.equal(e, m_src, e2, m_tgt):
+                    return HOLDS
+                return Side(compose(tensor_map(g, f) if flips else tensor_map(f, g),
+                                    m_src),
+                            compose(m_tgt, tensor_map(f, g)), decode,
+                            equal=False if fits else None)
+
+            yield (x, y, xp, yp), (side(f, ef, g, eg)
+                                   for (f, _, ef), (g, _, eg) in product(fs, gs))
 
     return Phase(instances(), budget.max_object_tuples, sampled=True)
 

@@ -17,7 +17,11 @@ functor's laxator, and the decoders that name the factor degrees of a
 witness column; the degree scalings of X sit beside them.  They are
 concrete monomial matrices, and every identity in this package is
 decided by entrywise scalar equality.  The elementary maps, one entry 1
-each, are the basis over which naturality is decided.
+each, are the basis over which naturality is decided.  The tensor of two
+elementary maps is elementary, so each side of a naturality square on a
+basis pair is one row or one column of a map the check already holds;
+``RankOne`` compares that row and that column, from the summand offsets,
+and builds no map.
 
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
@@ -51,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import is_
+from operator import add, is_
 from typing import Callable, Iterable, Mapping, Sequence
 from weakref import WeakValueDictionary
 
@@ -63,20 +67,30 @@ from .reports import CheckBudget, CheckReport, Phase, Side, decide
 # grading monoids
 
 
+_ADDITIONS = {
+    "trivial": lambda a, b: 0,
+    "parity": lambda a, b: (a + b) & 1,
+    "nat": add,
+}
+
+
 @dataclass(frozen=True)
 class GradingMonoid:
-    """A commutative monoid of degrees: {0}, Z/2 or N."""
+    """A commutative monoid of degrees: {0}, Z/2 or N.
+
+    ``add`` is the degree sum of the kind, bound once when the monoid is
+    built; equality, hashing, ``repr`` and pickling go by ``kind`` alone.
+    """
 
     kind: str  # "trivial" | "parity" | "nat"
 
     zero = 0
 
-    def add(self, a: int, b: int) -> int:
-        if self.kind == "parity":
-            return (a + b) & 1
-        if self.kind == "nat":
-            return a + b
-        return 0
+    def __post_init__(self):
+        object.__setattr__(self, "add", _ADDITIONS[self.kind])
+
+    def __reduce__(self):
+        return GradingMonoid, (self.kind,)
 
     def valid_degree(self, d: int) -> bool:
         if not isinstance(d, int) or isinstance(d, bool) or d < 0:
@@ -716,6 +730,110 @@ def collapse_laxator(field, x: GradedObject, y: GradedObject,
                 rows[c0 + b] = t0 + a * dy + b
     one = field.one
     return monomial_map(field, source, target, {0: [(r, one) for r in rows]})
+
+
+# ---------------------------------------------------------------------------
+# the rank-one route: identities between elementary pairs, decided without
+# building a map
+
+
+def entry(m: GradedMap):
+    """The one nonzero entry ``(degree, row, col, value)`` of an elementary
+    map; ``()`` for the zero map and ``None`` for a map with more than one
+    nonzero entry."""
+    if not m.blocks:
+        return ()
+    if len(m.blocks) > 1:
+        return None
+    d, block = m.blocks[0]
+    found = None
+    for c, col in enumerate(block):
+        if col:
+            if found is not None or len(col) != 2:
+                return None
+            found = (d, col[0], c, col[1])
+    return found
+
+
+def between(m: GradedMap, source: GradedObject, target: GradedObject) -> bool:
+    """Whether ``m`` is a map ``source -> target``."""
+    return m.source is source and m.target is target
+
+
+class RankOne:
+    """The squares ``E o M == N o E'`` with E and E' elementary or zero.
+
+    With ``a`` at (n; R, C) in E, ``E o M`` is row C of M's degree-n block
+    moved to row R and scaled by ``a``; with ``b`` at (n'; R', C') in E',
+    ``N o E'`` is column R' of N's degree-n' block moved to column C' and
+    scaled by ``b``.  The two are equal exactly when both are zero, or when
+    both are the single entry (R, C') with ``a M[C, C'] == N[R, R'] b``.
+    That holds for any M and N, monomial or dense.
+
+    The tables (the summand layout of each object pair and the rows of each
+    map read) live as long as the instance, which a check keeps for one call.
+    """
+
+    def __init__(self, field):
+        self.one, self.mul = field.one, field.mul
+        self._layouts: dict = {}  # (x, y) -> {(i, j): (n, offset, dim Y_j)}
+        self._maps: dict = {}     # id(m) -> (m, degree -> rows, degree -> block)
+
+    def _layout(self, x: GradedObject, y: GradedObject) -> dict:
+        got = self._layouts.get((x, y))
+        if got is None:
+            got = self._layouts[(x, y)] = {
+                (i, j): (n, off, y.dim(j))
+                for (i, j), (n, off) in _summand_offsets(x, y).items()}
+        return got
+
+    def tensor(self, x, y, xp, yp, e1, e2):
+        """The entry of ``E1 (x) E2 : X (x) Y -> X' (x) Y'``, where ``e1`` and
+        ``e2`` are the entries of E1 : X -> X' and E2 : Y -> Y'."""
+        if not (e1 and e2):
+            return ()
+        i, r1, c1, v1 = e1
+        j, r2, c2, v2 = e2
+        n, c0, width = self._layout(x, y)[(i, j)]
+        _, r0, height = self._layout(xp, yp)[(i, j)]
+        return (n, r0 + r1 * height + r2, c0 + c1 * width + c2,
+                v1 if v2 is self.one else self.mul(v1, v2))
+
+    def _tables(self, m: GradedMap) -> tuple:
+        got = self._maps.get(id(m))
+        if got is None:
+            rows = {}
+            for d, block in m.blocks:
+                rows[d] = out = [[] for _ in range(m.target.dim(d))]
+                for c, col in enumerate(block):
+                    it = iter(col)
+                    for r, v in zip(it, it):
+                        out[r] += (c, v)
+            got = self._maps[id(m)] = (m, rows, dict(m.blocks))
+        return got
+
+    def equal(self, e, m: GradedMap, e2, n: GradedMap) -> bool:
+        """Whether ``E o M == N o E'``, for the entries ``e`` of E and ``e2``
+        of E' (``entry``); reads one row of M and one column of N."""
+        row = col = ()
+        if e:
+            d, r, c, a = e
+            rows = self._tables(m)[1].get(d)
+            if rows is not None:
+                row = rows[c]
+        if e2:
+            d2, r2, c2, b = e2
+            block = self._tables(n)[2].get(d2)
+            if block is not None:
+                col = block[r2]
+        if not (row and col):
+            return not (row or col)
+        if d != d2 or len(row) != 2 or len(col) != 2 or row[0] != c2 or col[0] != r:
+            return False
+        one, mul = self.one, self.mul
+        lv = row[1] if a is one else mul(a, row[1])
+        rv = col[1] if b is one else mul(col[1], b)
+        return lv is rv or lv == rv
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,15 @@ from typing import Callable
 
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, TRIVIAL, associator, block_map, collapse_laxator,
-    collapse_map, compose, identity, left_unitor, pair_decoder,
-    right_unitor, sort_universe, tensor_map, tensor_obj,
+    GradedMap, GradedObject, RankOne, TRIVIAL, associator, between, block_map,
+    collapse_laxator, collapse_map, compose, entry, identity, left_unitor,
+    pair_decoder, right_unitor, sort_universe, tensor_map, tensor_obj,
     triple_decoder_left, unit_object,
 )
 from .distortion import (
     DistortedStructure, basis_quadruples, identity_unit, symmetric_braiding,
 )
-from .reports import CheckBudget, CheckReport, Phase, Side, decide
+from .reports import HOLDS, CheckBudget, CheckReport, Phase, Side, decide
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,23 +255,45 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
     pair of elementary maps (u, v).
 
     Both sides are bilinear in (u, v) because ``F.mor`` is linear, so the
-    basis pairs decide the square for all maps; ``F(u)`` of each basis map
-    and each laxator are built once per check.
+    basis pairs decide the square for all maps; ``F(u)`` of each basis map,
+    its entry, and each laxator are built once per check.  ``F(u (x) v)``
+    is built through ``F.mor``, which is opaque, and its entry read.  When
+    all three images are elementary or zero and every map has the objects
+    the square needs, ``exactlin.RankOne`` decides the pair from one column
+    of mu(X',Y') and one row of mu(X,Y), and no tensor of images and no
+    composite is built.  Any other pair, and a pair it finds unequal (for
+    the witness), takes the two composites.
     """
+    field = func.source.field
     mu = _laxators(func)
+    ranks = RankOne(field)
 
     def quadruples():
         for (x, y, xp, yp), us, vs in basis_quadruples(
-                func.source.field, func.source.universe, func.mor):
+                field, func.source.universe, func.mor):
             if not (us and vs):  # a zero Hom space: no pair, no laxator built
                 yield (x, y, xp, yp), ()
                 continue
-            decode = pair_decoder(func.obj(x), func.obj(y))
+            fx, fy, fxp, fyp = func.obj(x), func.obj(y), func.obj(xp), func.obj(yp)
+            decode = pair_decoder(fx, fy)
             mu_xy, mu_p = mu(x, y), mu(xp, yp)
-            yield (x, y, xp, yp), (
-                Side(compose(mu_p, tensor_map(fu, fv)),
-                     compose(func.mor(tensor_map(u, v)), mu_xy), decode)
-                for (u, fu), (v, fv) in product(us, vs))
+            fits = (mu_xy.source is tensor_obj(fx, fy)
+                    and mu_p.source is tensor_obj(fxp, fyp))
+
+            def side(u, fu, eu, v, fv, ev):
+                fuv = func.mor(tensor_map(u, v))
+                e = entry(fuv)
+                rank_one = (fits and None not in (e, eu, ev)
+                            and between(fu, fx, fxp) and between(fv, fy, fyp)
+                            and between(fuv, mu_xy.target, mu_p.target))
+                if rank_one and ranks.equal(
+                        e, mu_xy, ranks.tensor(fx, fy, fxp, fyp, eu, ev), mu_p):
+                    return HOLDS
+                return Side(compose(mu_p, tensor_map(fu, fv)),
+                            compose(fuv, mu_xy), decode,
+                            equal=False if rank_one else None)
+
+            yield (x, y, xp, yp), (side(*a, *b) for a, b in product(us, vs))
 
     return decide("laxator_naturality",
                   Phase(quadruples(), budget.max_object_tuples, sampled=True))

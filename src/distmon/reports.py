@@ -121,13 +121,21 @@ def equality_witness(axiom: str, objects, left, right,
 @dataclass(frozen=True)
 class Side:
     """One identity ``lhs == rhs`` of an instance; ``objects`` and ``note``,
-    when given, replace the instance's objects and the phase's note."""
+    when given, replace the instance's objects and the phase's note.
+
+    ``equal``, when given, is the verdict of a route that built neither map
+    (``exactlin.RankOne``): a side it holds on needs no maps (``HOLDS``),
+    and one it fails on carries both maps, which must then differ."""
 
     lhs: object  # GradedMap
     rhs: object  # GradedMap
     decode: Optional[Decoder] = None
     objects: Optional[tuple] = None
     note: Optional[str] = None
+    equal: Optional[bool] = None
+
+
+HOLDS = Side(None, None, equal=True)
 
 
 @dataclass(frozen=True)
@@ -149,8 +157,9 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
 
     An instance's sides are consumed before the next instance is pulled, so
     they may be built lazily from the generator's state.  ``agrees(*objects)``,
-    an independent route, must match every instance's verdict.  A pass note
-    is ``note`` formatted with the per-phase counts.
+    an independent route, must match every instance's verdict, and so must a
+    side's own ``equal``.  A pass note is ``note`` formatted with the
+    per-phase counts.
     """
     maps = 0
     counts = []
@@ -162,10 +171,15 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
             for side in sides:
                 if phase.sampled:
                     maps += 1
+                if side.equal:
+                    continue
                 witness = equality_witness(axiom, side.objects or objects,
                                            side.lhs, side.rhs, side.decode)
                 if witness is not None:
                     break
+                if side.equal is not None:
+                    raise AssertionError(
+                        f"internal: rank-one route disagrees with matrices for {axiom}")
             if agrees is not None and agrees(*objects) != (witness is None):
                 raise AssertionError(
                     f"internal: scalar route disagrees with matrices for {axiom}"

@@ -1,3 +1,5 @@
+import operator
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from distmon import (
-    GradedObject, NAT, PARITY, associator, associator_inv,
+    GradedObject, GradingMonoid, MONOIDS, NAT, PARITY, TRIVIAL, associator,
+    associator_inv,
     check_base, compose, generate_universe, graded_map, identity,
     left_unitor, left_unitor_inv, right_unitor,
     right_unitor_inv, tensor_map, tensor_obj, unit_object, zero_map,
@@ -304,6 +307,17 @@ def test_grading_monoid_laws(a, b, c):
         assert monoid.add(monoid.add(a_, b_), c_) == \
             monoid.add(a_, monoid.add(b_, c_))
         assert monoid.add(a_, monoid.zero) == a_
+
+
+def test_grading_monoid_binds_its_sum_and_compares_by_kind():
+    assert NAT.add is operator.add
+    for kind, monoid in MONOIDS.items():
+        again = GradingMonoid(kind)
+        assert again == monoid and hash(again) == hash(monoid)
+        assert repr(again) == f"GradingMonoid(kind={kind!r})"
+        back = pickle.loads(pickle.dumps(monoid))
+        assert back == monoid and back.add is monoid.add
+    assert PARITY.add(1, 1) == 0 and TRIVIAL.add(0, 0) == 0
 
 
 # ---------------------------------------------------------------------------
