@@ -178,14 +178,14 @@ class DistortedStructure:
 def basis_quadruples(field, universe, image: Callable = lambda u: u):
     """Every object quadruple ``(X, Y, X', Y')`` in canonical order, with the
     elementary bases of Hom(X, X') and Hom(Y, Y'), each basis map ``u``
-    given as ``(u, image(u), entry(image(u)))``.  Each basis is built once
-    per call; a zero Hom space gives an empty basis.
+    given as ``(u, image(u), entry(image(u)), entry(u))``.  Each basis is
+    built once per call; a zero Hom space gives an empty basis.
     """
     bases: dict = {}
 
     def with_image(u):
-        fu = image(u)
-        return u, fu, entry(fu)
+        fu, eu = image(u), entry(u)
+        return u, fu, eu if fu is u else entry(fu), eu
 
     def basis(a, b):
         got = bases.get((a, b))
@@ -239,7 +239,7 @@ def binaturality_phase(field, family_at: Callable, universe,
                             equal=False if fits else None)
 
             yield (x, y, xp, yp), (side(f, ef, g, eg)
-                                   for (f, _, ef), (g, _, eg) in product(fs, gs))
+                                   for (f, _, ef, _), (g, _, eg, _) in product(fs, gs))
 
     return Phase(instances(), budget.max_object_tuples, sampled=True)
 

@@ -21,7 +21,8 @@ each, are the basis over which naturality is decided.  The tensor of two
 elementary maps is elementary, so each side of a naturality square on a
 basis pair is one row or one column of a map the check already holds;
 ``RankOne`` compares that row and that column, from the summand offsets,
-and builds no map.
+and builds no map.  ``collapse_entry`` gives the collapse functor's image
+of an elementary map as an entry, in ``collapse_map``'s layout.
 
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
@@ -520,6 +521,17 @@ def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> Gr
         cols += [tuple(v if p & 1 else v + r0 for p, v in enumerate(col))
                  for col in block]
     return _raw_map(f.field, source, target, {0: tuple(cols)})
+
+
+def collapse_entry(source: GradedObject, target: GradedObject, e):
+    """The entry of ``collapse_map(E, ...)`` for the elementary map
+    ``E : source -> target`` with entry ``e`` (``entry``; ``()`` for zero):
+    degree d's block starts at row ``_starts(target)[d]`` and column
+    ``_starts(source)[d]``."""
+    if not e:
+        return e
+    d, r, c, v = e
+    return 0, _starts(target)[d] + r, _starts(source)[d] + c, v
 
 
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:

@@ -16,6 +16,13 @@ Composition builds the composite laxators
 ``mu0^{GF} = G(mu0^F) o mu0^G``; both bracketings of a triple composite
 produce blockwise equal data, and the strictness checker verifies that
 on concrete universes rather than assuming it.
+
+Each of these morphism maps moves entries without mixing them: truncation
+keeps an entry or drops it, collapse shifts it, and a composite chains the
+two.  Their ``mor`` is an ``Entrywise`` map, which also gives the image
+of an elementary map as an entry, so ``check_laxator_naturality`` decides
+a basis pair without building ``u (x) v`` or ``F(u (x) v)``.  A functor
+given any other ``mor`` is decided from the maps ``mor`` builds.
 """
 
 from __future__ import annotations
@@ -28,14 +35,33 @@ from typing import Callable
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
     GradedMap, GradedObject, RankOne, TRIVIAL, associator, between, block_map,
-    collapse_laxator, collapse_map, compose, entry, identity, left_unitor,
-    pair_decoder, right_unitor, sort_universe, tensor_map, tensor_obj,
-    triple_decoder_left, unit_object,
+    collapse_entry, collapse_laxator, collapse_map, compose, entry, identity,
+    left_unitor, pair_decoder, right_unitor, sort_universe, tensor_map,
+    tensor_obj, triple_decoder_left, unit_object,
 )
 from .distortion import (
     DistortedStructure, basis_quadruples, identity_unit, symmetric_braiding,
 )
 from .reports import HOLDS, CheckBudget, CheckReport, Phase, Side, decide
+
+
+class Entrywise:
+    """A morphism map ``F`` that sends an elementary map to an elementary
+    map or to zero, with the rule that does so without building a map.
+
+    ``entry(A, B, e)`` is ``(FA, FB, e')`` for the elementary map
+    ``E : A -> B`` with entry ``e`` (``exactlin.entry``; ``()`` for zero),
+    where ``e'`` is the entry of ``F(E) : FA -> FB``.  The rule belongs to
+    the map it describes: a functor given another ``mor`` has no rule.
+    """
+
+    __slots__ = ("_mor", "entry")
+
+    def __init__(self, mor: Callable[[GradedMap], GradedMap], entry: Callable):
+        self._mor, self.entry = mor, entry
+
+    def __call__(self, f: GradedMap) -> GradedMap:
+        return self._mor(f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +83,7 @@ def identity_functor(ds: DistortedStructure) -> LaxFunctor:
         source=ds,
         target=ds,
         obj=lambda x: x,
-        mor=lambda f: f,
+        mor=Entrywise(lambda f: f, lambda a, b, e: (a, b, e)),
         mu=lambda x, y: identity(field, tensor_obj(x, y)),
         mu0=identity(field, ds.unit),
         info=("identity",),
@@ -91,6 +117,10 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
             return f
         return block_map(field, src, tgt, {d: m for d, m in f.blocks if d <= bound})
 
+    def rule(a: GradedObject, b: GradedObject, e) -> tuple:
+        # a kept degree keeps its positions
+        return obj(a), obj(b), e if e and e[0] <= bound else ()
+
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
         src = tensor_obj(obj(x), obj(y))
         return block_map(field, src, obj(tensor_obj(x, y)),
@@ -101,7 +131,7 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
         source=ds,
         target=ds,
         obj=obj,
-        mor=mor,
+        mor=Entrywise(mor, rule),
         mu=mu,
         mu0=identity(field, ds.unit),
         info=("truncation", bound),
@@ -126,6 +156,9 @@ def collapse_functor(ds: DistortedStructure) -> LaxFunctor:
     def mor(f: GradedMap) -> GradedMap:
         return collapse_map(f, obj(f.source), obj(f.target))
 
+    def rule(a: GradedObject, b: GradedObject, e) -> tuple:
+        return obj(a), obj(b), collapse_entry(a, b, e)
+
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
         return collapse_laxator(field, x, y, tensor_obj(obj(x), obj(y)),
                                 obj(tensor_obj(x, y)))
@@ -141,7 +174,7 @@ def collapse_functor(ds: DistortedStructure) -> LaxFunctor:
         source=ds,
         target=target,
         obj=obj,
-        mor=mor,
+        mor=Entrywise(mor, rule),
         mu=mu,
         mu0=identity(field, target.unit),
         info=("collapse",),
@@ -163,12 +196,20 @@ def compose_lax(g: LaxFunctor, f: LaxFunctor) -> LaxFunctor:
     def mu(x, y):
         return compose(g.mor(f.mu(x, y)), g.mu(f.obj(x), f.obj(y)))
 
+    def mor(m):
+        return g.mor(f.mor(m))
+
+    if isinstance(g.mor, Entrywise) and isinstance(f.mor, Entrywise):
+        def rule(a, b, e):
+            return g.mor.entry(*f.mor.entry(a, b, e))
+        mor = Entrywise(mor, rule)
+
     return LaxFunctor(
         name=f"{g.name}*{f.name}",
         source=f.source,
         target=g.target,
         obj=lambda x: g.obj(f.obj(x)),
-        mor=lambda m: g.mor(f.mor(m)),
+        mor=mor,
         mu=mu,
         mu0=compose(g.mor(f.mu0), g.mu0),
         info=("composite", f.info, g.info),
@@ -256,17 +297,20 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
 
     Both sides are bilinear in (u, v) because ``F.mor`` is linear, so the
     basis pairs decide the square for all maps; ``F(u)`` of each basis map,
-    its entry, and each laxator are built once per check.  ``F(u (x) v)``
-    is built through ``F.mor``, which is opaque, and its entry read.  When
-    all three images are elementary or zero and every map has the objects
-    the square needs, ``exactlin.RankOne`` decides the pair from one column
-    of mu(X',Y') and one row of mu(X,Y), and no tensor of images and no
-    composite is built.  Any other pair, and a pair it finds unequal (for
-    the witness), takes the two composites.
+    its entry, and each laxator are built once per check.  When ``F.mor``
+    is ``Entrywise``, the entry of ``u (x) v`` comes from the entries of u
+    and v and the rule gives the entry of ``F(u (x) v)``, so neither map is
+    built.  When those images are elementary or zero and every map has the
+    objects the square needs, ``exactlin.RankOne`` decides the pair from
+    one column of mu(X',Y') and one row of mu(X,Y).  Any other pair builds
+    ``F(u (x) v)`` through ``F.mor`` and reads its entry; a pair still off
+    the rank-one route, and a pair it finds unequal (for the witness),
+    takes the two composites.
     """
     field = func.source.field
     mu = _laxators(func)
     ranks = RankOne(field)
+    rule = func.mor.entry if isinstance(func.mor, Entrywise) else None
 
     def quadruples():
         for (x, y, xp, yp), us, vs in basis_quadruples(
@@ -279,15 +323,23 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
             mu_xy, mu_p = mu(x, y), mu(xp, yp)
             fits = (mu_xy.source is tensor_obj(fx, fy)
                     and mu_p.source is tensor_obj(fxp, fyp))
+            xy, xyp = tensor_obj(x, y), tensor_obj(xp, yp)
 
-            def side(u, fu, eu, v, fv, ev):
+            def side(u, fu, efu, eu, v, fv, efv, ev):
+                maps = (fits and None not in (efu, efv)
+                        and between(fu, fx, fxp) and between(fv, fy, fyp))
+                if maps:
+                    e2 = ranks.tensor(fx, fy, fxp, fyp, efu, efv)
+                    if rule is not None:
+                        a, b, e = rule(xy, xyp, ranks.tensor(x, y, xp, yp, eu, ev))
+                        if (a is mu_xy.target and b is mu_p.target
+                                and ranks.equal(e, mu_xy, e2, mu_p)):
+                            return HOLDS
                 fuv = func.mor(tensor_map(u, v))
                 e = entry(fuv)
-                rank_one = (fits and None not in (e, eu, ev)
-                            and between(fu, fx, fxp) and between(fv, fy, fyp)
+                rank_one = (maps and e is not None
                             and between(fuv, mu_xy.target, mu_p.target))
-                if rank_one and ranks.equal(
-                        e, mu_xy, ranks.tensor(fx, fy, fxp, fyp, eu, ev), mu_p):
+                if rank_one and ranks.equal(e, mu_xy, e2, mu_p):
                     return HOLDS
                 return Side(compose(mu_p, tensor_map(fu, fv)),
                             compose(fuv, mu_xy), decode,

@@ -6,7 +6,8 @@ only for a pair it finds unequal.  These tests check, on every elementary
 pair of each universe, that the kernel's verdict is ``first_difference``'s
 on the composites, and that each check's whole report (verdict, tuples,
 maps and witness) equals the one a loop that always builds the composites
-gives.
+gives.  The builtin functors' entry rules (``laxfun.Entrywise``) are
+checked against the maps their ``mor`` builds, on every elementary map.
 """
 
 from collections import Counter
@@ -32,6 +33,7 @@ from distmon.exactlin import (
     GradedObject, block_map, sort_universe, tensor_map,
 )
 from distmon.errors import ObjectMismatch
+from distmon.laxfun import Entrywise
 from distmon.reports import CheckBudget, Phase, Side, decide, first_difference
 
 from conftest import Q, obj
@@ -121,7 +123,7 @@ def _composites_phase(field, family_at, universe, flips):
             yield (x, y, xp, yp), (
                 Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
                      compose(m_tgt, tensor_map(f, g)), decode)
-                for (f, _, _), (g, _, _) in product(fs, gs))
+                for (f, *_), (g, *_) in product(fs, gs))
 
     return Phase(instances(), BUDGET.max_object_tuples, sampled=True)
 
@@ -135,7 +137,7 @@ def test_kernel_matches_first_difference_on_every_elementary_pair(name):
         if not (fs and gs):
             continue
         m_src, m_tgt = family.at(field, x, y), family.at(field, xp, yp)
-        for (f, _, ef), (g, _, eg) in product(fs, gs):
+        for (f, _, ef, _), (g, _, eg, _) in product(fs, gs):
             fg = tensor_map(f, g)
             gf = tensor_map(g, f) if flips else fg
             e2 = ranks.tensor(x, y, xp, yp, ef, eg)
@@ -210,10 +212,35 @@ def _laxator_composites(func):
             yield (x, y, xp, yp), (
                 Side(compose(mu_p, tensor_map(fu, fv)),
                      compose(func.mor(tensor_map(u, v)), mu_xy), decode)
-                for (u, fu, _), (v, fv, _) in product(us, vs))
+                for (u, fu, *_), (v, fv, *_) in product(us, vs))
 
     return decide("laxator_naturality",
                   Phase(quadruples(), BUDGET.max_object_tuples, sampled=True))
+
+
+def _entrywise_functors(field, universe):
+    ds = _nat_ds(field, universe)
+    t1, t2, t3 = (truncation_functor(ds, b) for b in (1, 2, 3))
+    u = collapse_functor(ds)
+    return {"Id": identity_functor(ds), "tau1": t1, "tau2": t2, "tau3": t3,
+            "U": u, "U*tau1": compose_lax(u, t1), "tau1*tau2": compose_lax(t1, t2),
+            "U*tau1*tau2": compose_lax(u, compose_lax(t1, t2))}
+
+
+@pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
+def test_entry_rules_match_the_maps_on_every_elementary_map(universe):
+    field, objs = LAX_UNIVERSES[universe]
+    objects = sort_universe([*objs, *(tensor_obj(x, y)
+                                      for x, y in product(objs, repeat=2))])
+    maps = [(a, b, e) for a, b in product(objects, repeat=2)
+            for e in elementary_maps(field, a, b)]
+    assert maps
+    for name, func in _entrywise_functors(field, objs).items():
+        assert isinstance(func.mor, Entrywise), name
+        for a, b, e in maps:
+            fe = func.mor(e)
+            assert func.mor.entry(a, b, entry(e)) == (fe.source, fe.target,
+                                                      entry(fe)), name
 
 
 @pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
@@ -227,7 +254,7 @@ def test_laxator_kernel_matches_first_difference_on_every_elementary_pair(univer
                 continue
             fx, fy, fxp, fyp = map(func.obj, (x, y, xp, yp))
             mu_xy, mu_p = func.mu(x, y), func.mu(xp, yp)
-            for (u, fu, eu), (v, fv, ev) in product(us, vs):
+            for (u, fu, eu, _), (v, fv, ev, _) in product(us, vs):
                 fuv = func.mor(tensor_map(u, v))
                 e2 = ranks.tensor(fx, fy, fxp, fyp, eu, ev)
                 assert e2 == entry(tensor_map(fu, fv))
@@ -264,6 +291,28 @@ def test_an_image_with_two_entries_takes_the_composites():
     report = check_laxator_naturality(func, BUDGET)
     assert report == _laxator_composites(func)
     assert report.verdict == "fail"
+
+
+@pytest.mark.parametrize("composite", [False, True])
+def test_a_replaced_morphism_map_drops_the_entry_rule(composite):
+    # U, or U*tau1, with a linear morphism map that doubles every image:
+    # the replacement keeps no rule, so each pair is decided from the
+    # doubled maps, and the square fails on every pair with a nonzero side
+    def functor(universe):
+        funcs = _functors(Q, universe)
+        func = funcs["U*tau1" if composite else "U"]
+        return replace(func, mor=lambda f, _mor=func.mor: doubled(_mor(f)))
+
+    func = functor(NAT_U)
+    assert not isinstance(func.mor, Entrywise)
+    report = check_laxator_naturality(func, BUDGET)
+    assert report == _laxator_composites(func)
+    assert report.verdict == "fail"
+    witness = report.witness
+    replay = check_laxator_naturality(functor(sort_universe(witness.objects)),
+                                      BUDGET)
+    assert replay.verdict == "fail"
+    assert replay.witness.factor_degrees == witness.factor_degrees
 
 
 def test_a_kernel_that_disagrees_with_the_composites_is_an_internal_error(
