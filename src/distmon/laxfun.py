@@ -297,15 +297,14 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
 
     Both sides are bilinear in (u, v) because ``F.mor`` is linear, so the
     basis pairs decide the square for all maps; ``F(u)`` of each basis map,
-    its entry, and each laxator are built once per check.  When ``F.mor``
-    is ``Entrywise``, the entry of ``u (x) v`` comes from the entries of u
-    and v and the rule gives the entry of ``F(u (x) v)``, so neither map is
-    built.  When those images are elementary or zero and every map has the
-    objects the square needs, ``exactlin.RankOne`` decides the pair from
-    one column of mu(X',Y') and one row of mu(X,Y).  Any other pair builds
-    ``F(u (x) v)`` through ``F.mor`` and reads its entry; a pair still off
-    the rank-one route, and a pair it finds unequal (for the witness),
-    takes the two composites.
+    its entry, and each laxator are built once per check.  The image of
+    ``u (x) v`` comes, when ``F.mor`` is ``Entrywise``, from its rule on the
+    entries of u and v, so neither map is built; otherwise from
+    ``F(u (x) v)`` built through ``F.mor``.  When that image and F(u), F(v)
+    are elementary or zero and every map has the objects the square needs,
+    ``exactlin.RankOne`` decides the pair from one column of mu(X',Y') and
+    one row of mu(X,Y).  A pair off that route, and a pair it finds unequal
+    (for the witness), takes the two composites.
     """
     field = func.source.field
     mu = _laxators(func)
@@ -326,21 +325,20 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
             xy, xyp = tensor_obj(x, y), tensor_obj(xp, yp)
 
             def side(u, fu, efu, eu, v, fv, efv, ev):
-                maps = (fits and None not in (efu, efv)
-                        and between(fu, fx, fxp) and between(fv, fy, fyp))
-                if maps:
-                    e2 = ranks.tensor(fx, fy, fxp, fyp, efu, efv)
-                    if rule is not None:
-                        a, b, e = rule(xy, xyp, ranks.tensor(x, y, xp, yp, eu, ev))
-                        if (a is mu_xy.target and b is mu_p.target
-                                and ranks.equal(e, mu_xy, e2, mu_p)):
-                            return HOLDS
-                fuv = func.mor(tensor_map(u, v))
-                e = entry(fuv)
-                rank_one = (maps and e is not None
-                            and between(fuv, mu_xy.target, mu_p.target))
-                if rank_one and ranks.equal(e, mu_xy, e2, mu_p):
+                fuv = None
+                if rule is not None:  # the image of u (x) v, no map built
+                    a, b, e = rule(xy, xyp, ranks.tensor(x, y, xp, yp, eu, ev))
+                else:
+                    fuv = func.mor(tensor_map(u, v))
+                    a, b, e = fuv.source, fuv.target, entry(fuv)
+                rank_one = (fits and None not in (e, efu, efv)
+                            and a is mu_xy.target and b is mu_p.target
+                            and between(fu, fx, fxp) and between(fv, fy, fyp))
+                if rank_one and ranks.equal(
+                        e, mu_xy, ranks.tensor(fx, fy, fxp, fyp, efu, efv), mu_p):
                     return HOLDS
+                if fuv is None:
+                    fuv = func.mor(tensor_map(u, v))
                 return Side(compose(mu_p, tensor_map(fu, fv)),
                             compose(fuv, mu_xy), decode,
                             equal=False if rank_one else None)

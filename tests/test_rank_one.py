@@ -315,6 +315,33 @@ def test_a_replaced_morphism_map_drops_the_entry_rule(composite):
     assert replay.witness.factor_degrees == witness.factor_degrees
 
 
+@pytest.mark.parametrize("name", ["tau1-bad-mu", "doubled U"])
+def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
+    # the rule route (tau1 with doubled laxators) and the built-map route
+    # (U with a doubled mor) both ask the kernel once per pair: each pair it
+    # finds unequal becomes one Side marked unequal, with no second call
+    import distmon.laxfun as laxfun
+    funcs = _functors(Q, NAT_U)
+    func = (funcs[name] if name in funcs else
+            replace(funcs["U"], mor=lambda f, _mor=funcs["U"].mor: doubled(_mor(f))))
+    unequal, marked = [], []
+    kernel, make_side = RankOne.equal, laxfun.Side
+
+    def equal(self, *args):
+        same = kernel(self, *args)
+        unequal.extend(() if same else [args])
+        return same
+
+    def side(*args, **kw):
+        marked.extend([kw] if kw.get("equal") is False else ())
+        return make_side(*args, **kw)
+
+    monkeypatch.setattr(RankOne, "equal", equal)
+    monkeypatch.setattr(laxfun, "Side", side)
+    assert check_laxator_naturality(func, BUDGET).verdict == "fail"
+    assert unequal and len(unequal) == len(marked)
+
+
 def test_a_kernel_that_disagrees_with_the_composites_is_an_internal_error(
         monkeypatch):
     monkeypatch.setattr(RankOne, "equal", lambda self, e, m, e2, n: False)
