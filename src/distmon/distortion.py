@@ -398,7 +398,7 @@ def classify_scalar_unit_families(field) -> list:
         candidates = [field.from_int(r) for r in range(field.p)]
     else:
         candidates = [field.from_int(n) for n in (0, 1, -1, 2)]
-        if field == RATIONAL:
+        if field is RATIONAL:
             candidates.append(field.parse("1/2"))
     universe = [GradedObject.of(TRIVIAL, {0: 1}), GradedObject.of(TRIVIAL, {0: 2})]
     budget = CheckBudget(max_object_tuples=16)

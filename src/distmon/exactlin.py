@@ -38,7 +38,9 @@ object with that degree table, so equal objects are the same object, and
 objects compare and hash by reference.  The intern table holds them
 weakly; an object is freed once nothing else refers to it.
 
-Each object keeps one interned identity map per field (``identity``).
+A ``GradedMap`` is a NamedTuple, compared and hashed by value.  Fields
+are interned too (``fields``), so every field check is an ``is`` test and
+each object keeps one interned identity map per field (``identity``).
 Every constructor here returns that map when its result is the identity
 between equal objects: the unitors, ``associator``/``associator_inv``
 (decided from the order of the summands, before any offset is
@@ -53,11 +55,10 @@ so a value-equal copy takes the generic path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import add, is_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
 from .errors import MonoidMismatch, ObjectMismatch
@@ -75,7 +76,6 @@ _ADDITIONS = {
 }
 
 
-@dataclass(frozen=True)
 class GradingMonoid:
     """A commutative monoid of degrees: {0}, Z/2 or N.
 
@@ -83,15 +83,28 @@ class GradingMonoid:
     built; equality, hashing, ``repr`` and pickling go by ``kind`` alone.
     """
 
-    kind: str  # "trivial" | "parity" | "nat"
+    __slots__ = ("kind", "add")
 
     zero = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "add", _ADDITIONS[self.kind])
+    def __init__(self, kind: str):  # "trivial" | "parity" | "nat"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "add", _ADDITIONS[kind])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, GradingMonoid) and other.kind == self.kind
+
+    def __hash__(self):
+        return hash(self.kind)
 
     def __reduce__(self):
         return GradingMonoid, (self.kind,)
+
+    def __repr__(self) -> str:
+        return f"GradingMonoid(kind={self.kind!r})"
 
     def valid_degree(self, d: int) -> bool:
         if not isinstance(d, int) or isinstance(d, bool) or d < 0:
@@ -123,15 +136,16 @@ class GradedObject:
     Objects are interned: ``GradedObject(monoid, dims)`` returns the one
     live object with that grading and ``dims`` (sorted by degree), so
     objects compare and hash by reference.  The intern table holds its
-    objects weakly, and an object no one references is freed.  ``degrees``
-    and ``total_dim`` are computed once, when the object is first built;
-    ``_identities`` keeps ``identity``'s map per field.  Attributes cannot
-    be set, and ``copy``, ``deepcopy`` and ``pickle`` return the interned
-    object.
+    objects weakly, and an object no one references is freed.  ``degrees``,
+    ``total_dim`` and ``starts`` (degree -> first flat position of that
+    degree's basis, the degrees following one another in ascending order)
+    are computed once, when the object is first built; ``_identities``
+    keeps ``identity``'s map per field.  Attributes cannot be set, and
+    ``copy``, ``deepcopy`` and ``pickle`` return the interned object.
     """
 
-    __slots__ = ("monoid", "dims", "degrees", "total_dim", "_identities",
-                 "__weakref__")
+    __slots__ = ("monoid", "dims", "degrees", "total_dim", "starts",
+                 "_identities", "__weakref__")
 
     def __new__(cls, monoid: GradingMonoid, dims: tuple[tuple[int, int], ...]):
         key = (monoid.kind, dims)
@@ -141,8 +155,13 @@ class GradedObject:
             init = object.__setattr__
             init(obj, "monoid", monoid)
             init(obj, "dims", dims)
+            starts, off = {}, 0
+            for d, k in dims:
+                starts[d] = off
+                off += k
             init(obj, "degrees", tuple([d for d, _ in dims]))
-            init(obj, "total_dim", sum([k for _, k in dims]))
+            init(obj, "total_dim", off)
+            init(obj, "starts", starts)
             init(obj, "_identities", {})
             _INTERNED[key] = obj
         return obj
@@ -319,8 +338,7 @@ def mat_rank(field, m) -> int:
 # maps
 
 
-@dataclass(frozen=True)
-class GradedMap:
+class GradedMap(NamedTuple):
     """Degree-preserving linear map, one column block per shared degree.
 
     ``blocks`` is sorted by degree and holds no block without a nonzero
@@ -440,7 +458,7 @@ def _is_identity(m: GradedMap) -> bool:
 
 def compose(g: GradedMap, f: GradedMap) -> GradedMap:
     """g after f; an interned identity on either side returns the other map."""
-    if f.field is not g.field and f.field != g.field:
+    if f.field is not g.field:
         raise ObjectMismatch("cannot compose maps over different fields")
     if f.target is not g.source:
         raise ObjectMismatch(
@@ -461,16 +479,7 @@ def compose(g: GradedMap, f: GradedMap) -> GradedMap:
 
 # ---------------------------------------------------------------------------
 # tensor layout (see the module docstring); with the grading forgotten, an
-# object's degrees follow one another in ascending order
-
-
-def _starts(obj: GradedObject) -> dict:
-    """degree -> first flat position of that degree's basis in ``obj``."""
-    starts, off = {}, 0
-    for d, k in obj.dims:
-        starts[d] = off
-        off += k
-    return starts
+# object's degrees follow one another in ascending order (``starts``)
 
 
 def _summand_offsets(x: GradedObject, y: GradedObject) -> dict:
@@ -510,7 +519,7 @@ def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> Gr
     if source is target and _is_identity(f):
         return identity(f.field, source)
     fb = dict(f.blocks)
-    starts = _starts(f.target)
+    starts = f.target.starts
     cols: list = []
     for d, k in f.source.dims:
         block = fb.get(d)
@@ -526,17 +535,17 @@ def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> Gr
 def collapse_entry(source: GradedObject, target: GradedObject, e):
     """The entry of ``collapse_map(E, ...)`` for the elementary map
     ``E : source -> target`` with entry ``e`` (``entry``; ``()`` for zero):
-    degree d's block starts at row ``_starts(target)[d]`` and column
-    ``_starts(source)[d]``."""
+    degree d's block starts at row ``target.starts[d]`` and column
+    ``source.starts[d]``."""
     if not e:
         return e
     d, r, c, v = e
-    return 0, _starts(target)[d] + r, _starts(source)[d] + c, v
+    return 0, target.starts[d] + r, source.starts[d] + c, v
 
 
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     """f (x) g, built summand by summand from products of columns."""
-    if f.field is not g.field and f.field != g.field:
+    if f.field is not g.field:
         raise ObjectMismatch("cannot tensor maps over different fields")
     if f.source.monoid is not g.source.monoid and f.source.monoid != g.source.monoid:
         raise MonoidMismatch("cannot tensor maps over different grading monoids")
@@ -730,7 +739,7 @@ def collapse_laxator(field, x: GradedObject, y: GradedObject,
     ``source`` and ``target`` are the one-degree images of the tensor of the
     collapsed factors and of the collapsed tensor.
     """
-    xs, ys, ts = _starts(x), _starts(y), _starts(tensor_obj(x, y))
+    xs, ys, ts = x.starts, y.starts, tensor_obj(x, y).starts
     width = y.total_dim
     rows = [0] * (x.total_dim * width)
     for (i, j), (n, s0) in _summand_offsets(x, y).items():

@@ -4,11 +4,17 @@ Every scalar in the package is either a canonical ``fractions.Fraction``
 (reduced, positive denominator -- the class maintains this itself) or a
 canonical residue ``0 <= r < p`` of a prime field.  There is no floating
 point anywhere and equality of scalars is always exact.
+
+Fields are interned: ``Rationals()`` returns ``RATIONAL`` and
+``PrimeField(p)`` the one live field for ``p``, held weakly, so equal
+fields are the same object and fields compare and hash by reference.
+``copy``, ``deepcopy`` and ``pickle`` return the interned field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from weakref import WeakValueDictionary
 
 
 class FieldError(ValueError):
@@ -29,11 +35,16 @@ def _is_prime(n: int) -> bool:
 
 
 class Rationals:
-    """The field of rational numbers."""
+    """The field of rational numbers; there is one, ``RATIONAL``."""
+
+    __slots__ = ()
 
     name = "rational"
     zero = Fraction(0)
     one = Fraction(1)
+
+    def __new__(cls):  # copies and pickles come back through here too
+        return RATIONAL
 
     def add(self, a, b):
         return a + b
@@ -67,26 +78,34 @@ class Rationals:
     def fmt(self, a) -> str:
         return str(a)
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rational")
-
     def __repr__(self):
         return "Rationals()"
 
 
-class PrimeField:
-    """Integers modulo a prime ``p``, with canonical residues ``0 <= r < p``."""
+_PRIME_FIELDS: WeakValueDictionary = WeakValueDictionary()
 
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < 2 ** 31 or not _is_prime(p):
-            raise FieldError(f"modulus must be a prime below 2**31, got {p!r}")
-        self.p = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
+
+class PrimeField:
+    """Integers modulo a prime ``p``, with canonical residues ``0 <= r < p``.
+
+    ``PrimeField(p)`` returns the one live field for ``p``.
+    """
+
+    __slots__ = ("p", "name", "zero", "one", "__weakref__")
+
+    def __new__(cls, p: int):
+        # 7.0 hashes like 7 and must not find its field
+        field = _PRIME_FIELDS.get(p) if isinstance(p, int) else None
+        if field is None:
+            if not isinstance(p, int) or not 2 <= p < 2 ** 31 or not _is_prime(p):
+                raise FieldError(f"modulus must be a prime below 2**31, got {p!r}")
+            field = object.__new__(cls)
+            field.p = p
+            field.name = f"F{p}"
+            field.zero = 0
+            field.one = 1 % p
+            _PRIME_FIELDS[p] = field
+        return field
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -127,14 +146,11 @@ class PrimeField:
     def fmt(self, a) -> str:
         return str(a % self.p)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
 
 
-RATIONAL = Rationals()
+RATIONAL = object.__new__(Rationals)

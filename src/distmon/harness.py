@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DistmonError, ParseError, ValidationError
 from .exactlin import (
@@ -96,9 +95,9 @@ _CELLS = {"projection": ("name", "from", "to"),
           "identity": ("name", "functor")}
 
 
-@dataclass(frozen=True, eq=False)
-class _Variant:
-    """The structure built on one unit distortion, with its 1- and 2-cells.
+class _Variant(NamedTuple):
+    """The structure built on one unit distortion, with its 1- and 2-cells;
+    compared and hashed by reference.
 
     ``label`` is ``lambda=<name>`` when the document lists several unit
     distortions, else None."""
@@ -108,10 +107,12 @@ class _Variant:
     functors: dict
     cells: dict
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A validated scenario document and the runtime built from it.
+
+class Scenario(NamedTuple):
+    """A validated scenario document and the runtime built from it, compared
+    and hashed by reference.
 
     ``variants`` holds one structure per unit distortion (the first is the
     one checks that do not depend on Lambda run on); ``rows`` maps each
@@ -127,6 +128,8 @@ class Scenario:
     braiding: object
     idempotent: object
     rows: dict
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def seed(self) -> int:
@@ -473,8 +476,7 @@ def load_scenario(path) -> Scenario:
 # the check table
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One check id: its checker, the targets it runs on, and what it needs.
 
     ``run(target, scenario)`` returns a CheckReport (for the search scope,

@@ -27,10 +27,9 @@ given any other ``mor`` is decided from the maps ``mor`` builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
@@ -64,8 +63,10 @@ class Entrywise:
         return self._mor(f)
 
 
-@dataclass(frozen=True, eq=False)
-class LaxFunctor:
+class LaxFunctor(NamedTuple):
+    """A functor's data; compared and hashed by reference, so a copy made
+    with ``_replace`` is a functor of its own (``compose_lax`` keys on it)."""
+
     name: str
     source: DistortedStructure
     target: DistortedStructure
@@ -74,6 +75,8 @@ class LaxFunctor:
     mu: Callable[[GradedObject, GradedObject], GradedMap]
     mu0: GradedMap
     info: tuple = ()
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def identity_functor(ds: DistortedStructure) -> LaxFunctor:

@@ -11,24 +11,24 @@ A failing check always carries a complete witness: the object tuple, the
 degree indices of the first differing basis column, and both offending
 maps.  Re-running the same check over a universe containing just the
 witness objects reproduces the failure.
+
+The records here are NamedTuples: immutable, compared and hashed by
+value, and derived with ``._replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class CheckBudget:
+class CheckBudget(NamedTuple):
     """The cap on the instances of each check's largest quantifier."""
 
     max_object_tuples: int = 4096
 
 
-@dataclass(frozen=True)
-class Coverage:
+class Coverage(NamedTuple):
     """Instances decided and, for the naturality checks, the pairs of
     elementary basis maps decided (``sampled_maps``, kept under the name the
     reports use)."""
@@ -38,8 +38,7 @@ class Coverage:
     note: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     axiom: str
     objects: tuple  # GradedObject tuple
     factor_degrees: tuple[int, ...]  # per-factor degrees at the first difference
@@ -52,8 +51,7 @@ class Witness:
     right_map: object  # GradedMap
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     axiom: str
     verdict: str  # "pass" | "fail"
     coverage: Coverage
@@ -66,8 +64,8 @@ class CheckReport:
     def relabel(self, axiom: str) -> "CheckReport":
         w = self.witness
         if w is not None:
-            w = replace(w, axiom=axiom)
-        return CheckReport(axiom, self.verdict, self.coverage, w)
+            w = w._replace(axiom=axiom)
+        return self._replace(axiom=axiom, witness=w)
 
 
 def first_difference(left, right):
@@ -118,8 +116,7 @@ def equality_witness(axiom: str, objects, left, right,
                    lv, rv, left, right)
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One identity ``lhs == rhs`` of an instance; ``objects`` and ``note``,
     when given, replace the instance's objects and the phase's note.
 
@@ -138,8 +135,7 @@ class Side:
 HOLDS = Side(None, None, equal=True)
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     """One quantifier: at most ``cap`` of its lazy ``(objects, sides)``
     instances are taken; ``note`` labels a failure in the phase, and in a
     ``sampled`` phase, one quantified over pairs of basis maps, every side

@@ -11,9 +11,8 @@ explicit catalogs by exact componentwise equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import StructureMismatch
 from .exactlin import (
@@ -26,12 +25,15 @@ from .reports import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class MonNatTrans:
+class MonNatTrans(NamedTuple):
+    """A 2-cell's data; compared and hashed by reference."""
+
     name: str
     source_functor: LaxFunctor
     target_functor: LaxFunctor
     component: Callable[[GradedObject], GradedMap]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def identity_transformation(func: LaxFunctor) -> MonNatTrans:

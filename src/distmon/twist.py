@@ -25,9 +25,7 @@ return if the two disagree.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional
-
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .errors import MonoidMismatch
 from .exactlin import (
@@ -201,15 +199,13 @@ def check_idempotent_axiom(field, e, axiom: str, universe, budget: CheckBudget,
 # invertibility
 
 
-@dataclass(frozen=True)
-class PairInvertibility:
+class PairInvertibility(NamedTuple):
     pair: tuple
     invertible: bool
     defect_degree: Optional[int] = None  # first degree with a rank defect
 
 
-@dataclass(frozen=True)
-class InvertibilityReport:
+class InvertibilityReport(NamedTuple):
     pairs: tuple[PairInvertibility, ...]
     invertible_everywhere: bool
     first_witness: Optional[tuple] = None
@@ -255,8 +251,7 @@ def invertibility_test(field, family, universe) -> InvertibilityReport:
 # exhaustive structural search (parity grading)
 
 
-@dataclass(frozen=True)
-class SearchRow:
+class SearchRow(NamedTuple):
     odd_odd_coefficient: int  # the only free normalized entry
     reports: tuple[CheckReport, ...]
 
@@ -268,8 +263,7 @@ class SearchRow:
         return all(v[a] == "pass" for a in axioms)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     rows: tuple[SearchRow, ...]
 
     def satisfying(self, axioms) -> list[int]:

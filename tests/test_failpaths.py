@@ -9,7 +9,6 @@ values were computed before the checkers shared one quantifier loop and
 must not change with it.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -65,7 +64,7 @@ def _bad_mu_functor():
             return doubled(m)
         return m
 
-    return replace(t1, mu=bad_mu)
+    return t1._replace(mu=bad_mu)
 
 
 def _lax_pentagon():
@@ -74,7 +73,7 @@ def _lax_pentagon():
 
 def _lax_left_unit():
     t1 = truncation_functor(nat_ds(), 1)
-    return check_lax_axioms(replace(t1, mu0=doubled(t1.mu0)), BUDGET)
+    return check_lax_axioms(t1._replace(mu0=doubled(t1.mu0)), BUDGET)
 
 
 def _ssigma():
@@ -100,9 +99,8 @@ def _triple_strictness(unit: bool):
         if f.info[0] != "composite":
             return composite
         if unit:
-            return replace(composite, mu0=doubled(composite.mu0))
-        return replace(composite,
-                       mu=lambda x, y: doubled(composite.mu(x, y)))
+            return composite._replace(mu0=doubled(composite.mu0))
+        return composite._replace(mu=lambda x, y: doubled(composite.mu(x, y)))
 
     return check_triple_strictness(u, t1, t2, BUDGET,
                                    compose_fn=corrupting_compose)
@@ -112,7 +110,7 @@ def _corrupt_at(cell, target_obj):
     def component(x, _c=cell.component):
         m = _c(x)
         return doubled(m) if x == target_obj and m.blocks else m
-    return replace(cell, component=component)
+    return cell._replace(component=component)
 
 
 def _monoidal_scalar():

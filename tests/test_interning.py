@@ -1,9 +1,11 @@
-"""Graded objects are interned: one live object per degree table.
+"""Graded objects and fields are interned, and records are immutable.
 
 Equal tables give the same object whatever order their entries were
 given in, copies and pickles come back as that object, it cannot be
 changed, and the intern table lets an object go once nothing refers to
-it.
+it.  Fields behave the same way: one ``Rationals``, one ``PrimeField``
+per live modulus.  The records (NamedTuples) reject attribute assignment,
+and a functor derived with ``_replace`` is a functor of its own.
 """
 
 import copy
@@ -14,10 +16,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from distmon import NAT, PARITY, GradedObject, generate_universe, identity, tensor_obj
+from distmon import (
+    NAT, PARITY, TRIVIAL, CheckBudget, GradedObject, check_D1, compose_lax,
+    generate_universe, identity, identity_functor, identity_transformation,
+    invertibility_test, scenario_from_dict, search_structural_idempotents,
+    symmetric_braiding, tensor_obj, truncation_functor, zero_map,
+)
 from distmon.exactlin import _INTERNED
-from distmon.fields import RATIONAL
-from distmon.harness import run_examples
+from distmon.fields import _PRIME_FIELDS, FieldError, PrimeField, RATIONAL, Rationals
+from distmon.harness import CHECKS, run_examples
+from distmon.reports import HOLDS, Phase, equality_witness
 
 from conftest import degrees_for
 
@@ -99,3 +107,95 @@ def test_the_intern_table_stops_growing_over_catalog_passes():
         gc.collect()
         sizes.append(len(_INTERNED))
     assert sizes[1] == sizes[2]
+
+
+def test_there_is_one_rational_field():
+    assert Rationals() is RATIONAL
+    assert repr(Rationals()) == "Rationals()"
+
+
+def test_a_prime_field_is_interned_per_modulus():
+    f7 = PrimeField(7)
+    assert PrimeField(7) is f7 and _PRIME_FIELDS[7] is f7
+    assert PrimeField(5) is not f7 and PrimeField(5) != f7
+    assert f7 != RATIONAL and repr(f7) == "PrimeField(7)"
+
+
+@pytest.mark.parametrize("field", [RATIONAL, PrimeField(7), PrimeField(2147483647)])
+def test_copies_and_pickles_are_the_interned_field(field):
+    assert copy.copy(field) is field
+    assert copy.deepcopy(field) is field
+    assert copy.deepcopy([field, field])[1] is field
+    assert pickle.loads(pickle.dumps(field)) is field
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4, 9, -7, 2 ** 31 + 11, 7.0, "7", True, None])
+def test_an_invalid_modulus_interns_nothing(bad):
+    before = set(_PRIME_FIELDS)
+    with pytest.raises(FieldError):
+        PrimeField(bad)
+    assert set(_PRIME_FIELDS) == before
+
+
+def test_an_unreferenced_prime_field_leaves_the_intern_table():
+    p = 1000003  # a modulus nothing else uses
+    assert PrimeField(p).p == p
+    gc.collect()
+    assert p not in _PRIME_FIELDS
+
+
+def _records():
+    """One instance of every record type, built by the public constructors."""
+    ds = scenario_from_dict({
+        "field": "rational", "grading": "nat",
+        "universe": {"max_degree": 1, "max_dim": 1, "max_support": 1},
+        "sigma": {"kind": "symmetric"}, "checks": ["D1"], "seed": 0,
+    })
+    struct = ds.variants[0].ds
+    func = identity_functor(struct)
+    x = ds.universe[0]
+    search = search_structural_idempotents(
+        RATIONAL, symmetric_braiding(),
+        [GradedObject.of(PARITY, {0: 1}), GradedObject.of(PARITY, {1: 1})],
+        CheckBudget(4))
+    inv = invertibility_test(RATIONAL, struct.sigma, ds.universe)
+    witness = equality_witness("x", (x,), identity(RATIONAL, x),
+                               zero_map(RATIONAL, x, x))
+    return [identity(RATIONAL, x), ds, ds.variants[0], CHECKS["D1"], func,
+            identity_transformation(func), check_D1(struct, ds.budget),
+            ds.budget, check_D1(struct, ds.budget).coverage, witness, HOLDS,
+            Phase(()), search, search.rows[0], inv, inv.pairs[0], TRIVIAL]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    name = getattr(record, "_fields", ("kind",))[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.other = None
+
+
+def test_objects_know_where_each_degree_starts():
+    x = GradedObject.of(NAT, {3: 1, 0: 2, 1: 4})
+    assert x.starts == {0: 0, 1: 2, 3: 6}
+    with pytest.raises(AttributeError):
+        x.starts = {}
+
+
+def test_a_replaced_functor_is_a_functor_of_its_own():
+    ds = scenario_from_dict({
+        "field": "rational", "grading": "nat",
+        "universe": {"max_degree": 2, "max_dim": 1, "max_support": 1},
+        "sigma": {"kind": "symmetric"}, "checks": ["D1"], "seed": 0,
+    }).variants[0].ds
+    func, outer = truncation_functor(ds, 1), identity_functor(ds)
+    other = func._replace(mu=lambda x, y, _mu=func.mu: _mu(x, y))
+    assert other != func and other == other and len({func, other}) == 2
+    assert other.name == func.name and other.mu is not func.mu
+    composite = compose_lax(outer, func)
+    size = compose_lax.cache_info().currsize
+    assert compose_lax(outer, other) is not composite
+    assert compose_lax.cache_info().currsize == size + 1
+    assert compose_lax(outer, other) is compose_lax(outer, other)
+    assert compose_lax(outer, func) is composite

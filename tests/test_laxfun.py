@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -105,7 +104,7 @@ def test_corrupted_laxator_fails_pentagon():
             return scaled(Q, m, Fraction(2))
         return m
 
-    broken = replace(t1, mu=bad_mu)
+    broken = t1._replace(mu=bad_mu)
     rep = check_lax_axioms(broken, BUDGET)
     assert rep.verdict == "fail"
     assert rep.witness is not None
@@ -122,7 +121,7 @@ def test_each_laxator_is_built_once_per_check():
         built.append((x, y))
         return _mu(x, y)
 
-    counted = replace(t1, mu=counting_mu)
+    counted = t1._replace(mu=counting_mu)
     for check in (check_lax_axioms, check_Ssigma, check_laxator_naturality):
         for _ in range(2):
             built.clear()
@@ -389,9 +388,8 @@ def test_triple_strictness_detects_corruption():
         composite = compose_lax(g, f)
         if f.info[0] == "composite":
             # corrupt only the H(GF) bracketing
-            return replace(composite,
-                           mu=lambda x, y: scaled(Q, composite.mu(x, y),
-                                                  Fraction(2)))
+            return composite._replace(
+                mu=lambda x, y: scaled(Q, composite.mu(x, y), Fraction(2)))
         return composite
 
     rep = check_triple_strictness(u, t1, t2, BUDGET,

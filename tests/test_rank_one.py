@@ -11,7 +11,6 @@ checked against the maps their ``mor`` builds, on every elementary map.
 """
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -181,7 +180,7 @@ def _bad_mu(func):
     def mu(x, y, _mu=func.mu):
         m = _mu(x, y)
         return doubled(m) if x is first and m.blocks else m
-    return replace(func, mu=mu)
+    return func._replace(mu=mu)
 
 
 def _functors(field, universe):
@@ -286,7 +285,7 @@ def test_an_image_with_two_entries_takes_the_composites():
             return identity(Q, tau1.obj(f.source))
         return _mor(f)
 
-    func = replace(tau1, mor=mor)
+    func = tau1._replace(mor=mor)
     assert two and entry(mor(identity(Q, two[0]))) is None
     report = check_laxator_naturality(func, BUDGET)
     assert report == _laxator_composites(func)
@@ -301,7 +300,7 @@ def test_a_replaced_morphism_map_drops_the_entry_rule(composite):
     def functor(universe):
         funcs = _functors(Q, universe)
         func = funcs["U*tau1" if composite else "U"]
-        return replace(func, mor=lambda f, _mor=func.mor: doubled(_mor(f)))
+        return func._replace(mor=lambda f, _mor=func.mor: doubled(_mor(f)))
 
     func = functor(NAT_U)
     assert not isinstance(func.mor, Entrywise)
@@ -323,7 +322,7 @@ def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
     import distmon.laxfun as laxfun
     funcs = _functors(Q, NAT_U)
     func = (funcs[name] if name in funcs else
-            replace(funcs["U"], mor=lambda f, _mor=funcs["U"].mor: doubled(_mor(f))))
+            funcs["U"]._replace(mor=lambda f, _mor=funcs["U"].mor: doubled(_mor(f))))
     unequal, marked = [], []
     kernel, make_side = RankOne.equal, laxfun.Side
 
@@ -382,7 +381,7 @@ def test_images_off_the_square_take_the_composites(kind):
     # and laxators live on the truncated or collapsed objects: no pair fits
     # the layout of the objects the kernel would be given
     func = _functors(Q, NAT_U)[kind]
-    func = replace(func, obj=lambda x: x)
+    func = func._replace(obj=lambda x: x)
     assert check_laxator_naturality(func, BUDGET) == _laxator_composites(func)
 
 
@@ -398,4 +397,4 @@ def test_laxators_off_the_square_raise_as_the_composites_do():
         return block_map(Q, wider, m.target, dict(m.blocks))
 
     with pytest.raises(ObjectMismatch):
-        check_laxator_naturality(replace(tau1, mu=mu), BUDGET)
+        check_laxator_naturality(tau1._replace(mu=mu), BUDGET)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -244,7 +243,7 @@ def _corrupt_at(cell, target_obj):
             for d, block in m.dense_blocks()
         }
         return graded_map(Q, m.source, m.target, blocks)
-    return replace(cell, component=component)
+    return cell._replace(component=component)
 
 
 def test_horizontal_rejects_non_natural_cell():
@@ -364,7 +363,7 @@ def test_horizontal_strictness_fail_counts_the_instances_decided(monkeypatch):
             return graded_map(Q, m.source, m.target, {
                 d: [[Q.mul(Fraction(2), v) for v in row] for row in block]
                 for d, block in m.dense_blocks()})
-        return replace(cell, component=component)
+        return cell._replace(component=component)
 
     pi = projection_transformation(t2, t1)
     for bad_call, tuples, note in ((2, 4, "associativity"), (3, 10, "unit law"),
