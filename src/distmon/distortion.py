@@ -51,7 +51,14 @@ STRUCTURAL_NOTE = "structural: exact for all morphisms"
 class StructuralFamily:
     """A family given by one scalar per degree tuple: ``at(field, *objects)``
     is ``build(field, *objects, coeff)`` with ``coeff(*degrees) =
-    coefficient(field, *degrees)``, built once per (field, objects)."""
+    coefficient(field, *degrees)``, built once per (field, objects).
+
+    The memo lives as long as the family, and a scenario builds its own
+    families, so it is freed with the scenario.  Beside the family's maps it
+    holds the composites several checks take from them (``shared``): the
+    whiskerings ``id_W (x) m(A, B)`` and ``m(A, B) (x) id_W`` and the twist
+    axioms' cocycle forms.
+    """
 
     structural = True
 
@@ -95,6 +102,39 @@ class Tabulated:
 
     def __repr__(self):
         return f"Tabulated({self.label}, {len(self.entries)} entries)"
+
+
+def shared(family, key: tuple, build: Callable) -> GradedMap:
+    """``build()``, built once per ``key`` for a structural ``family`` and
+    kept in its memo; built afresh for any other family.  ``key`` starts
+    with a tag naming the composite, then the field and the objects.
+
+    An interned identity is not kept: its parts are identities too, so the
+    unit laws rebuild it at about the cost of a lookup, and most
+    whiskerings in a hexagon are identities."""
+    if not family.structural:
+        return build()
+    memo = family._memo
+    got = memo.get(key)
+    if got is None:
+        got = build()
+        if got is not got.source._identities.get(got.field):
+            memo[key] = got
+    return got
+
+
+def id_tensor(family, field, w: GradedObject, a: GradedObject,
+              b: GradedObject) -> GradedMap:
+    """``id_W (x) family(A, B)``, shared through the family (``shared``)."""
+    return shared(family, ("id (x)", field, w, a, b), lambda: tensor_map(
+        identity(field, w), family.at(field, a, b)))
+
+
+def tensor_id(family, field, a: GradedObject, b: GradedObject,
+              w: GradedObject) -> GradedMap:
+    """``family(A, B) (x) id_W``, shared through the family (``shared``)."""
+    return shared(family, ("(x) id", field, a, b, w), lambda: tensor_map(
+        family.at(field, a, b), identity(field, w)))
 
 
 def tabulate_binary(family, field, pairs) -> Tabulated:
@@ -227,10 +267,13 @@ def binaturality_phase(field, family_at: Callable, universe,
             out, outp = ((y, x), (yp, xp)) if flips else ((x, y), (xp, yp))
             fits = (between(m_src, tensor_obj(x, y), tensor_obj(*out))
                     and between(m_tgt, tensor_obj(xp, yp), tensor_obj(*outp)))
+            cols, rows = ranks.layout(x, y), ranks.layout(xp, yp)
+            if flips:
+                fcols, frows = ranks.layout(y, x), ranks.layout(yp, xp)
 
             def side(f, ef, g, eg):
-                e2 = ranks.tensor(x, y, xp, yp, ef, eg)
-                e = ranks.tensor(y, x, yp, xp, eg, ef) if flips else e2
+                e2 = ranks.tensor(cols, rows, ef, eg)
+                e = ranks.tensor(fcols, frows, eg, ef) if flips else e2
                 if fits and ranks.equal(e, m_src, e2, m_tgt):
                     return HOLDS
                 return Side(compose(tensor_map(g, f) if flips else tensor_map(f, g),
@@ -326,26 +369,24 @@ def check_D2(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
 
 
 def _hexagon_sides(ds: DistortedStructure, x, y, z):
-    """The two typed hexagon identities, as sides out of (XY)Z and X(YZ)."""
-    field = ds.field
-    xy = tensor_obj(x, y)
-    yz = tensor_obj(y, z)
-    idx = identity(field, x)
-    idy = identity(field, y)
-    idz = identity(field, z)
-    hex1_lhs = ds.sigma_map(xy, z)
+    """The two typed hexagon identities, as sides out of (XY)Z and X(YZ).
+
+    Over all triples the two hexagons whisker the same flips, so a
+    structural sigma builds each whiskering once (``shared``)."""
+    field, sigma = ds.field, ds.sigma
+    hex1_lhs = ds.sigma_map(tensor_obj(x, y), z)
     hex1_rhs = compose(
         associator(field, z, x, y),
-        compose(tensor_map(ds.sigma_map(x, z), idy),
+        compose(tensor_id(sigma, field, x, z, y),
                 compose(associator_inv(field, x, z, y),
-                        compose(tensor_map(idx, ds.sigma_map(y, z)),
+                        compose(id_tensor(sigma, field, x, y, z),
                                 associator(field, x, y, z)))))
-    hex2_lhs = ds.sigma_map(x, yz)
+    hex2_lhs = ds.sigma_map(x, tensor_obj(y, z))
     hex2_rhs = compose(
         associator_inv(field, y, z, x),
-        compose(tensor_map(idy, ds.sigma_map(x, z)),
+        compose(id_tensor(sigma, field, y, x, z),
                 compose(associator(field, y, x, z),
-                        compose(tensor_map(ds.sigma_map(x, y), idz),
+                        compose(tensor_id(sigma, field, x, y, z),
                                 associator_inv(field, x, y, z)))))
     return [Side(hex1_lhs, hex1_rhs, triple_decoder_left(x, y, z)),
             Side(hex2_lhs, hex2_rhs, triple_decoder_right(x, y, z))]

@@ -42,15 +42,19 @@ A ``GradedMap`` is a NamedTuple, compared and hashed by value.  Fields
 are interned too (``fields``), so every field check is an ``is`` test and
 each object keeps one interned identity map per field (``identity``).
 Every constructor here returns that map when its result is the identity
-between equal objects: the unitors, ``associator``/``associator_inv``
-(decided from the order of the summands, before any offset is
-computed), and ``monomial_map`` with everything built on it (flips,
-summand and degree scalings, the collapse laxator, elementary maps);
-``block_map`` does the same for the truncation functor and the
-projection cells, and ``collapse_map`` for the collapse functor's image
-of an identity.  After their checks, ``compose`` and ``tensor_map``
-apply the unit laws to it by reference.  ``graded_map`` never interns,
-so a value-equal copy takes the generic path.
+between equal objects, and the structure maps decide that before they
+build anything: ``associator``/``associator_inv`` from the order of the
+summands, before any offset is computed, and ``flip_map`` and
+``summand_scaling`` per summand, from its offsets, its dimensions and
+its coefficient (tested by reference before ``==``); otherwise they
+write canonical columns directly.  The unitors are identities, and
+``monomial_map`` with everything built on it (degree scalings, the
+collapse laxator, elementary maps) returns the identity when every
+column is a unit; ``block_map`` does the same for the truncation
+functor and the projection cells, and ``collapse_map`` for the collapse
+functor's image of an identity.  After their checks, ``compose`` and
+``tensor_map`` apply the unit laws to it by reference.  ``graded_map``
+never interns, so a value-equal copy takes the generic path.
 """
 
 from __future__ import annotations
@@ -397,7 +401,7 @@ def monomial_map(field, source: GradedObject, target: GradedObject,
     units = _units(field, target.total_dim)
     blocks = {}
     for d, entries in columns.items():
-        blocks[d] = tuple(units[r] if v == one else (r, v) if v else ()
+        blocks[d] = tuple(units[r] if v is one or v == one else (r, v) if v else ()
                           for r, v in entries)
     return block_map(field, source, target, blocks)
 
@@ -457,24 +461,39 @@ def _is_identity(m: GradedMap) -> bool:
 
 
 def compose(g: GradedMap, f: GradedMap) -> GradedMap:
-    """g after f; an interned identity on either side returns the other map."""
-    if f.field is not g.field:
+    """g after f; an interned identity on either side returns the other map.
+
+    Only the inner object's identity can be a unit here, so one lookup
+    settles both sides.  Both block tuples are sorted by degree, so the
+    products are met in ascending degree and only the nonzero ones kept:
+    the block tuple is canonical as built.
+    """
+    field = g.field
+    if f.field is not field:
         raise ObjectMismatch("cannot compose maps over different fields")
-    if f.target is not g.source:
+    mid = f.target
+    if mid is not g.source:
         raise ObjectMismatch(
-            f"compose: inner objects differ ({f.target} vs {g.source})"
+            f"compose: inner objects differ ({mid} vs {g.source})"
         )
-    if _is_identity(f):
+    unit = mid._identities.get(field)
+    if f is unit:
         return g
-    if _is_identity(g):
+    if g is unit:
         return f
-    fb = dict(f.blocks)
-    out = {}
+    fb = f.blocks
+    k, nf = 0, len(fb)
+    out = []
     for d, gb in g.blocks:
-        b = fb.get(d)
-        if b is not None:
-            out[d] = mat_mul(g.field, gb, b)
-    return _raw_map(g.field, f.source, g.target, out)
+        while k < nf and fb[k][0] < d:
+            k += 1
+        if k == nf:
+            break
+        if fb[k][0] == d:
+            m = mat_mul(field, gb, fb[k][1])
+            if any(m):
+                out.append((d, m))
+    return GradedMap(field, f.source, g.target, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +563,10 @@ def collapse_entry(source: GradedObject, target: GradedObject, e):
 
 
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
-    """f (x) g, built summand by summand from products of columns."""
+    """f (x) g, built summand by summand from products of columns.
+
+    When both factors are endomorphisms, as every whiskered flip or
+    scaling is, rows and columns share one table of summand offsets."""
     if f.field is not g.field:
         raise ObjectMismatch("cannot tensor maps over different fields")
     if f.source.monoid is not g.source.monoid and f.source.monoid != g.source.monoid:
@@ -554,9 +576,12 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     src = tensor_obj(f.source, g.source)
     if _is_identity(f) and _is_identity(g):
         return identity(field, src)
-    tgt = tensor_obj(f.target, g.target)
     col_off = _summand_offsets(f.source, g.source)
-    row_off = _summand_offsets(f.target, g.target)
+    if f.source is f.target and g.source is g.target:
+        tgt, row_off = src, col_off
+    else:
+        tgt = tensor_obj(f.target, g.target)
+        row_off = _summand_offsets(f.target, g.target)
     units = _units(field, tgt.total_dim)
     out: dict = {}
     for i, a in f.blocks:
@@ -691,34 +716,89 @@ left_unitor = left_unitor_inv = right_unitor = right_unitor_inv = identity
 # maps between tensor products that act summand by summand
 
 
+def _coefficients(field, x: GradedObject, y: GradedObject, coeff) -> tuple:
+    """``[(i, j, n, offset, dim X_i, dim Y_j, coeff(i, j))]`` over the
+    summands of X (x) Y, each value equal to one replaced by ``field.one``,
+    and whether every value is one.  Each value is tested once, by
+    reference before ``==``."""
+    one = field.one
+    xd, yd = dict(x.dims), dict(y.dims)
+    out, ones = [], True
+    for (i, j), (n, off) in _summand_offsets(x, y).items():
+        v = coeff(i, j)
+        if v is not one:
+            if v == one:
+                v = one
+            else:
+                ones = False
+        out.append((i, j, n, off, xd[i], yd[j], v))
+    return out, ones
+
+
+def _summand_blocks(obj: GradedObject, cols: dict) -> tuple:
+    """The canonical block tuple of ``cols`` (degree -> column list), in
+    the degree order of ``obj``."""
+    return tuple((n, tuple(cols[n])) for n in obj.degrees if n in cols)
+
+
 def flip_map(field, x: GradedObject, y: GradedObject,
              coeff: Callable[[int, int], object]) -> GradedMap:
-    """X (x) Y -> Y (x) X sending (i, j, a, b) to coeff(i, j) (j, i, b, a)."""
+    """X (x) Y -> Y (x) X sending (i, j, a, b) to coeff(i, j) (j, i, b, a).
+
+    The map is the identity exactly when every summand X_i (x) Y_j has
+    coefficient one, starts at the same offset in both products, and has
+    dim X_i = 1 or dim Y_j = 1 (otherwise (a, b) -> (b, a) moves an
+    index).  That is settled per summand, and the interned identity is
+    returned before any column is written; otherwise the canonical
+    columns are written directly, a unit entry as the shared column."""
     src, tgt = tensor_obj(x, y), tensor_obj(y, x)
     back = _summand_offsets(y, x)
-    columns = {n: [None] * k for n, k in src.dims}
-    for (i, j), (n, s0) in _summand_offsets(x, y).items():
+    summands, ones = _coefficients(field, x, y, coeff)
+    if ones and src is tgt and all(back[(j, i)][1] == s0 and (dx == 1 or dy == 1)
+                                   for i, j, _, s0, dx, dy, _ in summands):
+        return identity(field, src)
+    one = field.one
+    units = _units(field, tgt.total_dim)
+    sizes = dict(src.dims)
+    cols: dict = {}
+    for i, j, n, s0, dx, dy, v in summands:
+        if not v:
+            continue
+        col = cols.get(n)
+        if col is None:
+            col = cols[n] = [()] * sizes[n]
         t0 = back[(j, i)][1]
-        dx, dy = x.dim(i), y.dim(j)
-        v = coeff(i, j)
-        col = columns[n]
         for a in range(dx):
             for b in range(dy):
-                col[s0 + a * dy + b] = (t0 + b * dx + a, v)
-    return monomial_map(field, src, tgt, columns)
+                r = t0 + b * dx + a
+                col[s0 + a * dy + b] = units[r] if v is one else (r, v)
+    return GradedMap(field, src, tgt, _summand_blocks(src, cols))
 
 
 def summand_scaling(field, x: GradedObject, y: GradedObject,
                     coeff: Callable[[int, int], object]) -> GradedMap:
-    """The endomorphism of X (x) Y acting on X_i (x) Y_j by coeff(i, j)."""
+    """The endomorphism of X (x) Y acting on X_i (x) Y_j by coeff(i, j).
+
+    The identity exactly when every coefficient is one, which is settled
+    per summand before any column is written; otherwise the canonical
+    columns are written directly, a unit entry as the shared column."""
     xy = tensor_obj(x, y)
-    columns = {n: [None] * k for n, k in xy.dims}
-    for (i, j), (n, s0) in _summand_offsets(x, y).items():
-        v = coeff(i, j)
-        col = columns[n]
-        for r in range(s0, s0 + x.dim(i) * y.dim(j)):
-            col[r] = (r, v)
-    return monomial_map(field, xy, xy, columns)
+    summands, ones = _coefficients(field, x, y, coeff)
+    if ones:
+        return identity(field, xy)
+    one = field.one
+    units = _units(field, xy.total_dim)
+    sizes = dict(xy.dims)
+    cols: dict = {}
+    for _, _, n, s0, dx, dy, v in summands:
+        if not v:
+            continue
+        col = cols.get(n)
+        if col is None:
+            col = cols[n] = [()] * sizes[n]
+        end = s0 + dx * dy
+        col[s0:end] = units[s0:end] if v is one else [(r, v) for r in range(s0, end)]
+    return GradedMap(field, xy, xy, _summand_blocks(xy, cols))
 
 
 def degree_scaling(field, x: GradedObject,
@@ -800,7 +880,8 @@ class RankOne:
         self._layouts: dict = {}  # (x, y) -> {(i, j): (n, offset, dim Y_j)}
         self._maps: dict = {}     # id(m) -> (m, degree -> rows, degree -> block)
 
-    def _layout(self, x: GradedObject, y: GradedObject) -> dict:
+    def layout(self, x: GradedObject, y: GradedObject) -> dict:
+        """The summand layout of X (x) Y: (i, j) -> (n, offset, dim Y_j)."""
         got = self._layouts.get((x, y))
         if got is None:
             got = self._layouts[(x, y)] = {
@@ -808,15 +889,17 @@ class RankOne:
                 for (i, j), (n, off) in _summand_offsets(x, y).items()}
         return got
 
-    def tensor(self, x, y, xp, yp, e1, e2):
+    def tensor(self, cols: dict, rows: dict, e1, e2):
         """The entry of ``E1 (x) E2 : X (x) Y -> X' (x) Y'``, where ``e1`` and
-        ``e2`` are the entries of E1 : X -> X' and E2 : Y -> Y'."""
+        ``e2`` are the entries of E1 : X -> X' and E2 : Y -> Y', and ``cols``
+        and ``rows`` the layouts of X (x) Y and X' (x) Y' (``layout``), which
+        a check fetches once per object quadruple."""
         if not (e1 and e2):
             return ()
         i, r1, c1, v1 = e1
         j, r2, c2, v2 = e2
-        n, c0, width = self._layout(x, y)[(i, j)]
-        _, r0, height = self._layout(xp, yp)[(i, j)]
+        n, c0, width = cols[(i, j)]
+        _, r0, height = rows[(i, j)]
         return (n, r0 + r1 * height + r2, c0 + c1 * width + c2,
                 v1 if v2 is self.one else self.mul(v1, v2))
 

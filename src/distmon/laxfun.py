@@ -326,11 +326,14 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
             fits = (mu_xy.source is tensor_obj(fx, fy)
                     and mu_p.source is tensor_obj(fxp, fyp))
             xy, xyp = tensor_obj(x, y), tensor_obj(xp, yp)
+            # summand layouts, fetched once per quadruple
+            cols, rows = ranks.layout(x, y), ranks.layout(xp, yp)
+            fcols, frows = ranks.layout(fx, fy), ranks.layout(fxp, fyp)
 
             def side(u, fu, efu, eu, v, fv, efv, ev):
                 fuv = None
                 if rule is not None:  # the image of u (x) v, no map built
-                    a, b, e = rule(xy, xyp, ranks.tensor(x, y, xp, yp, eu, ev))
+                    a, b, e = rule(xy, xyp, ranks.tensor(cols, rows, eu, ev))
                 else:
                     fuv = func.mor(tensor_map(u, v))
                     a, b, e = fuv.source, fuv.target, entry(fuv)
@@ -338,7 +341,7 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
                             and a is mu_xy.target and b is mu_p.target
                             and between(fu, fx, fxp) and between(fv, fy, fyp))
                 if rank_one and ranks.equal(
-                        e, mu_xy, ranks.tensor(fx, fy, fxp, fyp, efu, efv), mu_p):
+                        e, mu_xy, ranks.tensor(fcols, frows, efu, efv), mu_p):
                     return HOLDS
                 if fuv is None:
                     fuv = func.mor(tensor_map(u, v))

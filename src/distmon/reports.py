@@ -152,8 +152,9 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
     """Decide the phases in order; the first failing side ends the check.
 
     An instance's sides are consumed before the next instance is pulled, so
-    they may be built lazily from the generator's state.  ``agrees(*objects)``,
-    an independent route, must match every instance's verdict, and so must a
+    they may be built lazily from the generator's state.  A side whose two
+    maps are one object holds without a scan.  ``agrees(*objects)``, an
+    independent route, must match every instance's verdict, and so must a
     side's own ``equal``.  A pass note is ``note`` formatted with the
     per-phase counts.
     """
@@ -169,10 +170,11 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
                     maps += 1
                 if side.equal:
                     continue
-                witness = equality_witness(axiom, side.objects or objects,
-                                           side.lhs, side.rhs, side.decode)
-                if witness is not None:
-                    break
+                if side.lhs is not side.rhs:
+                    witness = equality_witness(axiom, side.objects or objects,
+                                               side.lhs, side.rhs, side.decode)
+                    if witness is not None:
+                        break
                 if side.equal is not None:
                     raise AssertionError(
                         f"internal: rank-one route disagrees with matrices for {axiom}")

@@ -37,7 +37,7 @@ from .exactlin import (
 # scalar_axiom_sides is re-exported beside the axiom table it evaluates
 from .distortion import (
     STRUCTURAL_NOTE, StructuralFamily, binaturality_phase, scalar_axiom_sides,
-    scalar_route,
+    scalar_route, shared,
 )
 from .reports import CheckBudget, CheckReport, Phase, Side, decide
 
@@ -100,7 +100,11 @@ def twist(beta, e):
 
 
 def _axiom_sides(field, e, beta, axiom: str, x, y, z):
-    """(lhs, rhs, decoder) for one triple-quantified axiom instance."""
+    """(lhs, rhs, decoder) for one triple-quantified axiom instance.
+
+    The cocycle forms are built once per structural e (``shared``), so
+    E2R_cocycle reuses the ones E2L_cocycle built.
+    """
     xy = tensor_obj(x, y)
     yz = tensor_obj(y, z)
     idx = identity(field, x)
@@ -120,8 +124,10 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
                       compose(e.at(field, xy, z), alinv))
         return lhs, rhs, triple_decoder_right(x, y, z)
     if axiom in ("E2L_cocycle", "E2R_cocycle"):
-        pair_form = compose(e.at(field, xy, z), tensor_map(e.at(field, x, y), idz))
-        split_form = compose(tensor_map(idx, e.at(field, y, z)), e.at(field, x, yz))
+        pair_form = shared(e, ("pair", field, x, y, z), lambda: compose(
+            e.at(field, xy, z), tensor_map(e.at(field, x, y), idz)))
+        split_form = shared(e, ("split", field, x, y, z), lambda: compose(
+            tensor_map(idx, e.at(field, y, z)), e.at(field, x, yz)))
         if axiom == "E2L_cocycle":
             return (compose(al, pair_form), compose(split_form, al),
                     triple_decoder_left(x, y, z))

@@ -613,3 +613,79 @@ def test_a_near_identity_monomial_map_is_never_interned(data, field, monoid):
     assert got is not identity(field, x) and got != identity(field, x)
     assert_canonical(got)
     assert dense(got) == ref_monomial(field, x, x, near)
+
+
+# ---------------------------------------------------------------------------
+# flips and summand scalings decide the identity per summand; the reference
+# writes one entry per column from the label lists and hands every column
+# to ``monomial_map``, which interns a map whose columns are all units
+
+
+def ref_flip(field, x, y, coeff):
+    src, tgt = tensor_obj(x, y), tensor_obj(y, x)
+    columns = {}
+    for n in src.degrees:
+        rows = pair_basis(y, x, n)
+        columns[n] = [(rows.index((j, i, b, a)), coeff(i, j))
+                      for i, j, a, b in pair_basis(x, y, n)]
+    return monomial_map(field, src, tgt, columns)
+
+
+def ref_scaling(field, x, y, coeff):
+    xy = tensor_obj(x, y)
+    return monomial_map(field, xy, xy, {
+        n: [(r, coeff(i, j)) for r, (i, j, _, _) in enumerate(pair_basis(x, y, n))]
+        for n in xy.degrees})
+
+
+def coefficient_rules(field):
+    """Rules named by what they return: the shared one, an equal but
+    distinct one (over Q; every int 1 is one object), zero on a summand or
+    everywhere, and a sign or a scalar off the identity."""
+    one, zero = field.one, field.zero
+    other_one = Fraction(3, 3) if field is RATIONAL else field.from_int(field.p + 1)
+    odd = {(1, 1)}
+    return {
+        "one": lambda i, j: one,
+        "equal-one": lambda i, j: other_one,
+        "mixed-ones": lambda i, j: other_one if (i + j) % 2 else one,
+        "zero": lambda i, j: zero,
+        "zero-odd": lambda i, j: zero if (i, j) in odd else one,
+        "zero-off-unit": lambda i, j: one if (i, j) == (0, 0) else zero,
+        "sign-odd": lambda i, j: field.neg(one) if (i, j) in odd else one,
+        "two-at-0-1": lambda i, j: field.from_int(2) if (i, j) == (0, 1) else one,
+    }
+
+
+SUMMAND_OBJECTS = [
+    associator_objects(NAT, [{0: 1}, {1: 1}, {0: 3}, {2: 2}, {0: 1, 1: 1},
+                             {0: 2, 1: 3}, {1: 1, 2: 1}, {0: 1, 2: 3}],
+                       [(4, 4), (1, 5), (2, 6)]),
+    associator_objects(PARITY, [{0: 1}, {1: 1}, {0: 2}, {1: 3}, {0: 1, 1: 1},
+                                {0: 3, 1: 2}, {0: 1, 1: 3}],
+                       [(4, 4), (1, 5), (6, 2)]),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Fp"])
+@pytest.mark.parametrize("universe", SUMMAND_OBJECTS, ids=["nat", "parity"])
+def test_flips_and_scalings_match_the_column_reference(universe, field):
+    """On every pair of a fixed list, under each rule: the same blocks as
+    the reference, and the interned identity exactly when the reference is
+    the interned identity."""
+    identities = dict.fromkeys(("flip", "scaling"), 0)
+    for name, coeff in coefficient_rules(field).items():
+        for x, y in product(universe, repeat=2):
+            for kind, build, ref_build in (("flip", flip_map, ref_flip),
+                                           ("scaling", summand_scaling, ref_scaling)):
+                got, ref = build(field, x, y, coeff), ref_build(field, x, y, coeff)
+                assert got == ref, (kind, name, x, y)
+                assert_canonical(got)
+                trivial = ref is identity(field, ref.source)
+                assert (got is identity(field, got.source)) == trivial, \
+                    (kind, name, x, y)
+                identities[kind] += trivial
+    # both outcomes occur for both constructors
+    pairs = len(universe) ** 2
+    assert 0 < identities["flip"] < pairs * len(coefficient_rules(field))
+    assert 0 < identities["scaling"] < pairs * len(coefficient_rules(field))

@@ -139,8 +139,9 @@ def test_kernel_matches_first_difference_on_every_elementary_pair(name):
         for (f, _, ef, _), (g, _, eg, _) in product(fs, gs):
             fg = tensor_map(f, g)
             gf = tensor_map(g, f) if flips else fg
-            e2 = ranks.tensor(x, y, xp, yp, ef, eg)
-            e = ranks.tensor(y, x, yp, xp, eg, ef) if flips else e2
+            e2 = ranks.tensor(ranks.layout(x, y), ranks.layout(xp, yp), ef, eg)
+            e = (ranks.tensor(ranks.layout(y, x), ranks.layout(yp, xp), eg, ef)
+                 if flips else e2)
             assert (e, e2) == (entry(gf), entry(fg))
             same = first_difference(compose(gf, m_src), compose(m_tgt, fg)) is None
             assert ranks.equal(e, m_src, e2, m_tgt) is same
@@ -255,7 +256,8 @@ def test_laxator_kernel_matches_first_difference_on_every_elementary_pair(univer
             mu_xy, mu_p = func.mu(x, y), func.mu(xp, yp)
             for (u, fu, eu, _), (v, fv, ev, _) in product(us, vs):
                 fuv = func.mor(tensor_map(u, v))
-                e2 = ranks.tensor(fx, fy, fxp, fyp, eu, ev)
+                e2 = ranks.tensor(ranks.layout(fx, fy), ranks.layout(fxp, fyp),
+                                  eu, ev)
                 assert e2 == entry(tensor_map(fu, fv))
                 same = first_difference(compose(mu_p, tensor_map(fu, fv)),
                                         compose(fuv, mu_xy)) is None

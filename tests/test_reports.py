@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from distmon import NAT, graded_map, identity
-from distmon.reports import Phase, Side, decide
+from distmon import reports
+from distmon.reports import Phase, Side, decide, first_difference
 
 from conftest import Q, obj
 
@@ -87,3 +88,28 @@ def test_pass_note_is_formatted_with_per_phase_counts():
                     note="first={} second={}")
     assert report.coverage.note == "first=2 second=3"
     assert report.coverage.object_tuples == 5
+
+
+def test_a_side_of_one_map_holds_without_a_scan(monkeypatch):
+    """Two sides that are one object are settled without ``first_difference``
+    and still count in tuples= and maps=; a value-equal copy is still
+    scanned, and a rank-one verdict "unequal" on one map still raises."""
+    scanned = []
+
+    def scan(left, right):
+        scanned.append((left, right))
+        return first_difference(left, right)
+
+    monkeypatch.setattr(reports, "first_difference", scan)
+    m = graded_map(Q, X, X, {0: [[Fraction(2)]]})
+    copy = graded_map(Q, X, X, {0: [[Fraction(2)]]})
+    report = decide("ax", Phase(instances([[Side(m, m), Side(m, m)], [SAME]]),
+                                sampled=True),
+                    Phase(instances([[Side(m, m, equal=None)]])))
+    assert report.passed and scanned == []
+    assert (report.coverage.object_tuples, report.coverage.sampled_maps) == (3, 3)
+    assert decide("ax", Phase(instances([[Side(m, copy)]]))).passed
+    assert scanned == [(m, copy)]
+    with pytest.raises(AssertionError, match="rank-one route disagrees"):
+        decide("ax", Phase(instances([[Side(m, m, equal=False)]]), sampled=True))
+    assert len(scanned) == 1
