@@ -107,11 +107,9 @@ class Tabulated:
 def shared(family, key: tuple, build: Callable) -> GradedMap:
     """``build()``, built once per ``key`` for a structural ``family`` and
     kept in its memo; built afresh for any other family.  ``key`` starts
-    with a tag naming the composite, then the field and the objects.
-
-    An interned identity is not kept: its parts are identities too, so the
-    unit laws rebuild it at about the cost of a lookup, and most
-    whiskerings in a hexagon are identities."""
+    with a tag naming the composite, then the field and the objects.  An
+    interned identity is not kept: its parts are identities too, so the
+    unit laws rebuild it at about the cost of a lookup."""
     if not family.structural:
         return build()
     memo = family._memo
@@ -125,16 +123,24 @@ def shared(family, key: tuple, build: Callable) -> GradedMap:
 
 def id_tensor(family, field, w: GradedObject, a: GradedObject,
               b: GradedObject) -> GradedMap:
-    """``id_W (x) family(A, B)``, shared through the family (``shared``)."""
-    return shared(family, ("id (x)", field, w, a, b), lambda: tensor_map(
-        identity(field, w), family.at(field, a, b)))
+    """``id_W (x) family(A, B)``: the interned identity when the family's
+    map is one, which most whiskerings in a hexagon are, and otherwise
+    shared through the family (``shared``)."""
+    m = family.at(field, a, b)
+    if m is m.source._identities.get(field):
+        return identity(field, tensor_obj(w, m.source))
+    return shared(family, ("id (x)", field, w, a, b),
+                  lambda: tensor_map(identity(field, w), m))
 
 
 def tensor_id(family, field, a: GradedObject, b: GradedObject,
               w: GradedObject) -> GradedMap:
-    """``family(A, B) (x) id_W``, shared through the family (``shared``)."""
-    return shared(family, ("(x) id", field, a, b, w), lambda: tensor_map(
-        family.at(field, a, b), identity(field, w)))
+    """``family(A, B) (x) id_W``, as ``id_tensor``."""
+    m = family.at(field, a, b)
+    if m is m.source._identities.get(field):
+        return identity(field, tensor_obj(m.source, w))
+    return shared(family, ("(x) id", field, a, b, w),
+                  lambda: tensor_map(m, identity(field, w)))
 
 
 def tabulate_binary(family, field, pairs) -> Tabulated:

@@ -219,12 +219,13 @@ def sort_universe(objs: Iterable[GradedObject]) -> tuple[GradedObject, ...]:
 
 @cache
 def tensor_obj(x: GradedObject, y: GradedObject) -> GradedObject:
-    if x.monoid != y.monoid:
+    if x.monoid is not y.monoid and x.monoid != y.monoid:
         raise MonoidMismatch(f"cannot tensor {x.monoid.kind} with {y.monoid.kind}")
+    add = x.monoid.add
     dims: dict[int, int] = {}
     for i, ki in x.dims:
         for j, kj in y.dims:
-            n = x.monoid.add(i, j)
+            n = add(i, j)
             dims[n] = dims.get(n, 0) + ki * kj
     return GradedObject(x.monoid, tuple(sorted(dims.items())))
 
@@ -574,7 +575,7 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     field = f.field
     one, mul = field.one, field.mul
     src = tensor_obj(f.source, g.source)
-    if _is_identity(f) and _is_identity(g):
+    if f is f.source._identities.get(field) and g is g.source._identities.get(field):
         return identity(field, src)
     col_off = _summand_offsets(f.source, g.source)
     if f.source is f.target and g.source is g.target:
@@ -617,6 +618,26 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     return _raw_map(field, src, tgt, {n: tuple(cols) for n, cols in out.items()})
 
 
+def _ordered(x: GradedObject, y: GradedObject, z: GradedObject) -> bool:
+    """Whether the walk over (i, j, k), ascending, meets the summands of
+    each degree of (X (x) Y) (x) Z in ascending (i + j, i), and meets an
+    X_i twice in one degree only when dim X_i = 1: ``associator``'s two
+    conditions for the identity.  It stops at the first summand that
+    breaks one."""
+    add = x.monoid.add
+    last: dict = {}  # degree -> (i + j, i) of the summand last met there
+    for i, dx in x.dims:
+        for j, _ in y.dims:
+            s = (add(i, j), i)
+            for k, _ in z.dims:
+                n = add(s[0], k)
+                t = last.get(n)
+                if t is not None and (t >= s or (t[1] == i and dx != 1)):
+                    return False
+                last[n] = s
+    return True
+
+
 @cache
 def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> GradedMap:
     """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a permutation at each degree.
@@ -634,31 +655,22 @@ def associator(field, x: GradedObject, y: GradedObject, z: GradedObject) -> Grad
     summands by (i + j, i) gives their (i, j) order and no X_i with
     dim X_i > 1 appears in two summands.
 
-    One walk over (i, j, k), ascending, lists each degree's summands in
-    (i, j) order, where both conditions compare neighbours.  When they
-    hold, the interned identity is returned and no offset is computed;
-    otherwise the permutation is laid out from the same lists.
+    A walk over (i, j, k), ascending, meets each degree's summands in
+    (i, j) order, where both conditions compare neighbours (``_ordered``).
+    When they hold, the interned identity is returned and no offset is
+    computed; otherwise a second walk lists each degree's summands and the
+    permutation is laid out from those lists.
     """
+    src = tensor_obj(tensor_obj(x, y), z)
+    if _ordered(x, y, z):
+        return identity(field, src)
     add = x.monoid.add
     walk: dict = {}  # n -> [(i + j, i, dim X_i, dim Y_j, dim Z_k, j + k)]
-    trivial = True
     for i, dx in x.dims:
         for j, dy in y.dims:
             m = add(i, j)
             for k, dz in z.dims:
-                n = add(m, k)
-                s = (m, i, dx, dy, dz, add(j, k))
-                seq = walk.get(n)
-                if seq is None:
-                    walk[n] = [s]
-                else:
-                    # (i + j, i) ascending, and dim X_i = 1 where i repeats
-                    t = seq[-1]
-                    trivial = trivial and t < s and (t[1] != i or dx == 1)
-                    seq.append(s)
-    src = tensor_obj(tensor_obj(x, y), z)
-    if trivial:
-        return identity(field, src)
+                walk.setdefault(add(m, k), []).append((m, i, dx, dy, dz, add(j, k)))
     yz = tensor_obj(y, z)
     tgt = tensor_obj(x, yz)
     units = _units(field, tgt.total_dim)

@@ -20,7 +20,7 @@ from distmon import (
     DistortedStructure, PARITY, check_D3, check_idempotent_axiom,
     emit_report, generate_universe, identity, identity_unit, koszul_braiding,
     parity_projector, run_suite, scenario_from_dict, symmetric_braiding,
-    tensor_obj, twist,
+    tensor_map, tensor_obj, twist,
 )
 from distmon.distortion import (
     StructuralFamily, Tabulated, id_tensor, shared, tabulate_binary, tensor_id,
@@ -92,12 +92,15 @@ def test_a_failing_cocycle_witness_does_not_depend_on_its_sibling():
     assert any(key[0] == "pair" for key in e._memo)
 
 
-def test_shared_composites_are_built_once_and_identities_are_not_kept():
+def test_whiskerings_are_built_once_and_identities_are_not_kept():
     sigma = symmetric_braiding()
     x, y = UNIVERSE[-1], UNIVERSE[-2]
     first = tensor_id(sigma, Q, x, y, x)
+    assert first == tensor_map(sigma.at(Q, x, y), identity(Q, x))
     assert tensor_id(sigma, Q, x, y, x) is first
-    assert id_tensor(sigma, Q, x, x, y) is id_tensor(sigma, Q, x, x, y)
+    left = id_tensor(sigma, Q, x, x, y)
+    assert left == tensor_map(identity(Q, x), sigma.at(Q, x, y))
+    assert id_tensor(sigma, Q, x, x, y) is left
     assert ("(x) id", Q, x, y, x) in sigma._memo
     unit = UNIVERSE[0]
     whiskered = tensor_id(sigma, Q, unit, unit, x)
@@ -179,9 +182,11 @@ def test_shared_composites_die_with_their_scenario():
     sc = scenario_from_dict(dict(HEXAGON_B))
     run_suite(sc)
     # one entry per map: a form that is the family's own map is shared
-    # by every triple with the same tensor objects
+    # by every triple with the same tensor objects; interned identities
+    # live with their objects
     kept = list({id(m): m for key, m in sc.idempotent._memo.items()
-                 if key[0] in ("pair", "split")}.values())
+                 if key[0] in ("pair", "split")
+                 and m is not identity(Q, m.source)}.values())
     assert kept
     family = weakref.ref(sc.idempotent)
     del sc
