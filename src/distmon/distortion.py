@@ -108,8 +108,9 @@ def shared(family, key: tuple, build: Callable) -> GradedMap:
     """``build()``, built once per ``key`` for a structural ``family`` and
     kept in its memo; built afresh for any other family.  ``key`` starts
     with a tag naming the composite, then the field and the objects.  An
-    interned identity is not kept: its parts are identities too, so the
-    unit laws rebuild it at about the cost of a lookup."""
+    interned identity is not kept: where the checks share composites it is
+    built from identities, which the unit laws settle at about the cost of
+    a lookup, so keeping it would only cost memory."""
     if not family.structural:
         return build()
     memo = family._memo
