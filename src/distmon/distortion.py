@@ -23,14 +23,14 @@ touch a matrix; it cross-checks every tuple the matrices decide.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Sequence
 
 from .errors import BadUnitScalar, CoverageError, MonoidMismatch
 from .fields import RATIONAL
 from .exactlin import (
-    GradedMap, GradedObject, GradingMonoid, RankOne, TRIVIAL, between,
+    GradedMap, GradedObject, GradingMonoid, RankOne, TRIVIAL,
     compose, degree_scaling, elementary_maps, entry, flip_map, identity,
     associator, associator_inv,
     left_unitor, left_unitor_inv, right_unitor, right_unitor_inv,
@@ -38,7 +38,7 @@ from .exactlin import (
     tensor_obj, triple_decoder_left, triple_decoder_right, unit_object,
 )
 from .reports import (
-    HOLDS, CheckBudget, CheckReport, Phase, Side, decide, equality_witness,
+    CheckBudget, CheckReport, Phase, Side, decide, equality_witness,
 )
 
 STRUCTURAL_NOTE = "structural: exact for all morphisms"
@@ -222,27 +222,43 @@ class DistortedStructure:
 # shared binaturality quantifier (used by D1 and by idempotent E0)
 
 
-def basis_quadruples(field, universe, image: Callable = lambda u: u):
-    """Every object quadruple ``(X, Y, X', Y')`` in canonical order, with the
-    elementary bases of Hom(X, X') and Hom(Y, Y'), each basis map ``u``
-    given as ``(u, image(u), entry(image(u)), entry(u))``.  Each basis is
-    built once per call; a zero Hom space gives an empty basis.
-    """
-    bases: dict = {}
-
-    def with_image(u):
-        fu, eu = image(u), entry(u)
-        return u, fu, eu if fu is u else entry(fu), eu
+def basis_quadruples(field, universe, sides: Callable, image: Callable = None,
+                     obj: Callable = None):
+    """A sampled ``Phase``'s instances over ``product(universe, repeat=4)``:
+    each run of quadruples with a zero Hom space, which hold vacuously, as
+    its length, and any other (X, Y, X', Y') as ``(objects, sides(objects,
+    us, vs))`` with the elementary bases of Hom(X, X') and Hom(Y, Y').  A
+    basis map u : A -> B comes as ``(u, F(u), entry(F(u)), entry(u))``, F =
+    ``image`` (the identity by default), where ``entry(F(u))`` is ``None``
+    unless F(u) is a map ``obj(A) -> obj(B)``; each basis is built once."""
+    n, last, bases = len(universe), -1, {}
+    nonzero = cache(lambda a: [c for c, t in enumerate(universe)
+                               if any(t.dim(d) for d in universe[a].degrees)])
 
     def basis(a, b):
         got = bases.get((a, b))
         if got is None:
-            got = bases[(a, b)] = [with_image(u)
-                                   for u in elementary_maps(field, a, b)]
+            s, t = universe[a], universe[b]
+            fs, ft = (s, t) if obj is None else (obj(s), obj(t))
+            got = bases[(a, b)] = []
+            for u in elementary_maps(field, s, t):
+                fu, eu = u if image is None else image(u), entry(u)
+                fits = fu.source is fs and fu.target is ft
+                got.append((u, fu, (eu if fu is u else entry(fu)) if fits else None, eu))
         return got
 
-    for x, y, xp, yp in product(universe, repeat=4):
-        yield (x, y, xp, yp), basis(x, xp), basis(y, yp)
+    for a, x in enumerate(universe):
+        for b, y in enumerate(universe):
+            for c in nonzero(a):
+                for d in nonzero(b):
+                    k = ((a * n + b) * n + c) * n + d
+                    if k > last + 1:
+                        yield k - last - 1
+                    objects = (x, y, universe[c], universe[d])
+                    yield objects, sides(objects, basis(a, c), basis(b, d))
+                    last = k
+    if n ** 4 > last + 1:
+        yield n ** 4 - last - 1
 
 
 def binaturality_phase(field, family_at: Callable, universe,
@@ -256,42 +272,26 @@ def binaturality_phase(field, family_at: Callable, universe,
     (f, g), so the basis pairs decide the square for all maps; a quadruple
     with a zero Hom space has no pair and holds vacuously, and its family
     maps are not built.  ``f (x) g`` and ``g (x) f`` are elementary, so each
-    side is one row of ``m_{X,Y}`` or one column of ``m_{X',Y'}``, and
-    ``exactlin.RankOne`` decides the pair without building a map; the two
-    composites are built only for a pair it finds unequal, for the witness,
-    or for family maps whose objects do not fit the square.
+    side is one row of ``m_{X,Y}`` or one column of ``m_{X',Y'}``, and one
+    ``exactlin.RankOne.settle`` call decides every pair of a quadruple
+    without building a map; the composites are built only for a pair it
+    finds unequal, for the witness, or for maps that do not fit the square.
     """
     ranks = RankOne(field)
 
-    def instances():
-        for (x, y, xp, yp), fs, gs in basis_quadruples(field, universe):
-            if not (fs and gs):
-                yield (x, y, xp, yp), ()
-                continue
-            m_src = family_at(x, y)
-            m_tgt = family_at(xp, yp)
-            decode = pair_decoder(x, y)
-            out, outp = ((y, x), (yp, xp)) if flips else ((x, y), (xp, yp))
-            fits = (between(m_src, tensor_obj(x, y), tensor_obj(*out))
-                    and between(m_tgt, tensor_obj(xp, yp), tensor_obj(*outp)))
-            cols, rows = ranks.layout(x, y), ranks.layout(xp, yp)
-            if flips:
-                fcols, frows = ranks.layout(y, x), ranks.layout(yp, xp)
+    def sides(objects, fs, gs):
+        m_src, m_tgt = family_at(*objects[:2]), family_at(*objects[2:])
 
-            def side(f, ef, g, eg):
-                e2 = ranks.tensor(cols, rows, ef, eg)
-                e = ranks.tensor(fcols, frows, eg, ef) if flips else e2
-                if fits and ranks.equal(e, m_src, e2, m_tgt):
-                    return HOLDS
-                return Side(compose(tensor_map(g, f) if flips else tensor_map(f, g),
-                                    m_src),
-                            compose(m_tgt, tensor_map(f, g)), decode,
-                            equal=False if fits else None)
+        def composites(fb, gb, unequal):
+            f, g = fb[0], gb[0]
+            return Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
+                        compose(m_tgt, tensor_map(f, g)), pair_decoder(*objects[:2]),
+                        equal=False if unequal else None)
 
-            yield (x, y, xp, yp), (side(f, ef, g, eg)
-                                   for (f, _, ef, _), (g, _, eg, _) in product(fs, gs))
+        return ranks.settle(m_src, m_tgt, objects, objects, fs, gs, composites, flips)
 
-    return Phase(instances(), budget.max_object_tuples, sampled=True)
+    return Phase(basis_quadruples(field, universe, sides), budget.max_object_tuples,
+                 sampled=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ decided by entrywise scalar equality.  The elementary maps, one entry 1
 each, are the basis over which naturality is decided.  The tensor of two
 elementary maps is elementary, so each side of a naturality square on a
 basis pair is one row or one column of a map the check already holds;
-``RankOne`` compares that row and that column, from the summand offsets,
-and builds no map.  ``collapse_entry`` gives the collapse functor's image
-of an elementary map as an entry, in ``collapse_map``'s layout.
+``RankOne.settle`` compares them for all pairs of a quadruple at once, from
+the summand offsets, and builds no map.  ``collapse_entry`` gives the
+collapse functor's image of an elementary map, in ``collapse_map``'s layout.
 
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
@@ -434,14 +434,22 @@ def zero_map(field, source: GradedObject, target: GradedObject) -> GradedMap:
     return GradedMap(field, source, target, ())
 
 
+def elementary(field, source: GradedObject, target: GradedObject, e) -> GradedMap:
+    """The map ``source -> target`` with the one nonzero entry ``e`` (``entry``)."""
+    if not e:
+        return zero_map(field, source, target)
+    d, r, c, v = e
+    return monomial_map(field, source, target, {
+        d: [(r, v if k == c else field.zero) for k in range(source.dim(d))]})
+
+
 def elementary_maps(field, source: GradedObject,
                     target: GradedObject) -> list[GradedMap]:
     """The basis of the degree-preserving maps ``source -> target``: one map
     per (degree d, row r, column c) with the single entry 1 there, in
     ascending (d, r, c) order; ``[]`` when the Hom space is zero."""
-    zero, one = field.zero, field.one
-    return [monomial_map(field, source, target,
-                         {d: [(r, one if k == c else zero) for k in range(n)]})
+    one = field.one
+    return [elementary(field, source, target, (d, r, c, one))
             for d, n in source.dims
             for r in range(target.dim(d))
             for c in range(n)]
@@ -868,11 +876,6 @@ def entry(m: GradedMap):
     return found
 
 
-def between(m: GradedMap, source: GradedObject, target: GradedObject) -> bool:
-    """Whether ``m`` is a map ``source -> target``."""
-    return m.source is source and m.target is target
-
-
 class RankOne:
     """The squares ``E o M == N o E'`` with E and E' elementary or zero.
 
@@ -881,39 +884,25 @@ class RankOne:
     ``N o E'`` is column R' of N's degree-n' block moved to column C' and
     scaled by ``b``.  The two are equal exactly when both are zero, or when
     both are the single entry (R, C') with ``a M[C, C'] == N[R, R'] b``.
-    That holds for any M and N, monomial or dense.
-
-    The tables (the summand layout of each object pair and the rows of each
-    map read) live as long as the instance, which a check keeps for one call.
+    That holds for any M and N, monomial or dense.  ``settle`` decides all
+    pairs of a quadruple in one call; its tables (summand layouts, rows of
+    the maps read) live as long as the instance, kept for one check.
     """
 
     def __init__(self, field):
         self.one, self.mul = field.one, field.mul
-        self._layouts: dict = {}  # (x, y) -> {(i, j): (n, offset, dim Y_j)}
+        self._layouts: dict = {}  # (x, y) -> (X (x) Y, i -> j -> (n, offset, dim Y_j))
         self._maps: dict = {}     # id(m) -> (m, degree -> rows, degree -> block)
 
-    def layout(self, x: GradedObject, y: GradedObject) -> dict:
-        """The summand layout of X (x) Y: (i, j) -> (n, offset, dim Y_j)."""
+    def _layout(self, x: GradedObject, y: GradedObject) -> tuple:
+        """X (x) Y and its summand layout: i -> j -> (n, offset, dim Y_j)."""
         got = self._layouts.get((x, y))
         if got is None:
-            got = self._layouts[(x, y)] = {
-                (i, j): (n, off, y.dim(j))
-                for (i, j), (n, off) in _summand_offsets(x, y).items()}
+            table: dict = {}
+            for (i, j), (n, off) in _summand_offsets(x, y).items():
+                table.setdefault(i, {})[j] = (n, off, y.dim(j))
+            got = self._layouts[(x, y)] = (tensor_obj(x, y), table)
         return got
-
-    def tensor(self, cols: dict, rows: dict, e1, e2):
-        """The entry of ``E1 (x) E2 : X (x) Y -> X' (x) Y'``, where ``e1`` and
-        ``e2`` are the entries of E1 : X -> X' and E2 : Y -> Y', and ``cols``
-        and ``rows`` the layouts of X (x) Y and X' (x) Y' (``layout``), which
-        a check fetches once per object quadruple."""
-        if not (e1 and e2):
-            return ()
-        i, r1, c1, v1 = e1
-        j, r2, c2, v2 = e2
-        n, c0, width = cols[(i, j)]
-        _, r0, height = rows[(i, j)]
-        return (n, r0 + r1 * height + r2, c0 + c1 * width + c2,
-                v1 if v2 is self.one else self.mul(v1, v2))
 
     def _tables(self, m: GradedMap) -> tuple:
         got = self._maps.get(id(m))
@@ -928,28 +917,72 @@ class RankOne:
             got = self._maps[id(m)] = (m, rows, dict(m.blocks))
         return got
 
-    def equal(self, e, m: GradedMap, e2, n: GradedMap) -> bool:
-        """Whether ``E o M == N o E'``, for the entries ``e`` of E and ``e2``
-        of E' (``entry``); reads one row of M and one column of N."""
-        row = col = ()
-        if e:
-            d, r, c, a = e
-            rows = self._tables(m)[1].get(d)
-            if rows is not None:
-                row = rows[c]
-        if e2:
-            d2, r2, c2, b = e2
-            block = self._tables(n)[2].get(d2)
-            if block is not None:
-                col = block[r2]
-        if not (row and col):
-            return not (row or col)
-        if d != d2 or len(row) != 2 or len(col) != 2 or row[0] != c2 or col[0] != r:
-            return False
+    def settle(self, m: GradedMap, n: GradedMap, objects: tuple, images: tuple,
+               us, vs, unsettled: Callable, flip: bool = False,
+               image: Callable = None):
+        """Decide ``E o M == N o E'`` for each pair (u, v) of ``product(us,
+        vs)`` in order, building no map: yield the number of consecutive
+        pairs that hold, and ``unsettled(u, v, unequal)`` for any other.
+        ``us``, ``vs`` are the bases ``distortion.basis_quadruples`` gives
+        for ``objects`` (X, Y, X', Y') and their ``images`` (FX, ...).  E' is
+        F(u) (x) F(v); E is u (x) v (v (x) u when ``flip``), passed through
+        ``image(source, target, e)`` when given.  A pair is off the route,
+        not ``unequal``, when an entry is ``None`` or M : FX (x) FY -> source
+        of E or N : FX' (x) FY' -> target of E does not hold."""
+        x, y, xp, yp = objects
+        src, lcols = self._layout(*((y, x) if flip else (x, y)))
+        tgt, lrows = self._layout(*((yp, xp) if flip else (xp, yp)))
+        rsrc, rcols = self._layout(*images[:2])
+        rtgt, rrows = self._layout(*images[2:])
+        mt, nt = m.target, n.target
+        fits = m.source is rsrc and n.source is rtgt and (
+            image is not None or mt is src and nt is tgt)
+        mrows, ncols = (self._tables(m)[1], self._tables(n)[2]) if fits else ({}, {})
         one, mul = self.one, self.mul
-        lv = row[1] if a is one else mul(a, row[1])
-        rv = col[1] if b is one else mul(col[1], b)
-        return lv is rv or lv == rv
+        held = 0
+        for ub in us:
+            _, _, fu, eu = ub
+            for vb in vs:
+                _, _, fv, ev = vb
+                on = fits and fu is not None and fv is not None
+                # E, at (d; R, C) with value a: E o M is row C of M
+                i, r1, c1, v1 = ev if flip else eu
+                j, r2, c2, v2 = eu if flip else ev
+                d, c0, w = lcols[i][j]
+                _, r0, h = lrows[i][j]
+                R, C, a = r0 + r1 * h + r2, c0 + c1 * w + c2, v1 if v2 is one else mul(v1, v2)
+                e = True
+                if image is not None:
+                    s, t, e = image(src, tgt, (d, R, C, a))
+                    on = on and e is not None and s is mt and t is nt
+                    if e:
+                        d, R, C, a = e
+                row = col = ()
+                if on and e and d in mrows:
+                    row = mrows[d][C]
+                # E', at (d2; R2, C2) with value b: N o E' is column R2 of N
+                if on and fu and fv:
+                    i, r1, c1, v1 = fu
+                    j, r2, c2, v2 = fv
+                    d2, c0, w = rcols[i][j]
+                    _, r0, h = rrows[i][j]
+                    if d2 in ncols:
+                        col = ncols[d2][r0 + r1 * h + r2]
+                    C2, b = c0 + c1 * w + c2, v1 if v2 is one else mul(v1, v2)
+                # both sides zero, or both the one entry (R, C2) with equal values
+                if on and (not (row or col) or row and col and d == d2
+                           and len(row) == len(col) == 2 and row[0] == C2 and col[0] == R
+                           and ((lv := row[1] if a is one else mul(a, row[1]))
+                                is (rv := col[1] if b is one else mul(col[1], b))
+                                or lv == rv)):
+                    held += 1
+                    continue
+                if held:
+                    yield held
+                    held = 0
+                yield unsettled(ub, vb, on)
+        if held:
+            yield held
 
 
 # ---------------------------------------------------------------------------

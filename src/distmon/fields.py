@@ -22,15 +22,15 @@ class FieldError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin with the bases 2, 3, 5 and 7: exact for
+    every n below 3215031751, the least strong pseudoprime to all four."""
+    if n < 2 or any(n % a == 0 for a in (2, 3, 5, 7)):
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in (2, 3, 5, 7):  # a strong witness proves n composite
+        if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 

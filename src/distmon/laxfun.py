@@ -22,7 +22,8 @@ keeps an entry or drops it, collapse shifts it, and a composite chains the
 two.  Their ``mor`` is an ``Entrywise`` map, which also gives the image
 of an elementary map as an entry, so ``check_laxator_naturality`` decides
 a basis pair without building ``u (x) v`` or ``F(u (x) v)``.  A functor
-given any other ``mor`` is decided from the maps ``mor`` builds.
+given any other ``mor`` is decided from the image ``mor`` builds of the
+elementary map ``u (x) v``.
 """
 
 from __future__ import annotations
@@ -33,15 +34,16 @@ from typing import Callable, NamedTuple
 
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, RankOne, TRIVIAL, associator, between, block_map,
-    collapse_entry, collapse_laxator, collapse_map, compose, entry, identity,
+    GradedMap, GradedObject, RankOne, TRIVIAL, associator, block_map,
+    collapse_entry, collapse_laxator, collapse_map, compose, elementary, entry,
+    identity,
     left_unitor, pair_decoder, right_unitor, sort_universe, tensor_map,
     tensor_obj, triple_decoder_left, unit_object,
 )
 from .distortion import (
     DistortedStructure, basis_quadruples, identity_unit, symmetric_braiding,
 )
-from .reports import HOLDS, CheckBudget, CheckReport, Phase, Side, decide
+from .reports import CheckBudget, CheckReport, Phase, Side, decide
 
 
 class Entrywise:
@@ -294,65 +296,54 @@ def check_Ssigma(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     return decide("Ssigma", Phase(pairs(), budget.max_object_tuples))
 
 
+def _entry_rule(func: LaxFunctor) -> Callable:
+    """``func.mor``'s rule (``Entrywise``); a morphism map with none gets one
+    that builds the elementary map and reads the entry of its image."""
+    if isinstance(func.mor, Entrywise):
+        return func.mor.entry
+    field = func.source.field
+
+    def rule(a: GradedObject, b: GradedObject, e) -> tuple:
+        fe = func.mor(elementary(field, a, b, e))
+        return fe.source, fe.target, entry(fe)
+    return rule
+
+
 def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """mu(X',Y') o (F(u) (x)' F(v)) = F(u (x) v) o mu(X,Y), decided on every
     pair of elementary maps (u, v).
 
     Both sides are bilinear in (u, v) because ``F.mor`` is linear, so the
     basis pairs decide the square for all maps; ``F(u)`` of each basis map,
-    its entry, and each laxator are built once per check.  The image of
-    ``u (x) v`` comes, when ``F.mor`` is ``Entrywise``, from its rule on the
-    entries of u and v, so neither map is built; otherwise from
-    ``F(u (x) v)`` built through ``F.mor``.  When that image and F(u), F(v)
-    are elementary or zero and every map has the objects the square needs,
-    ``exactlin.RankOne`` decides the pair from one column of mu(X',Y') and
-    one row of mu(X,Y).  A pair off that route, and a pair it finds unequal
-    (for the witness), takes the two composites.
+    its entry, and each laxator are built once per check.  The entry of
+    ``F(u (x) v)`` comes from ``_entry_rule`` on the entry of u (x) v.  One
+    ``exactlin.RankOne.settle`` call per object quadruple decides every
+    pair whose images are elementary or zero and whose maps have the
+    objects the square needs, from one row of mu(X,Y) and one column of
+    mu(X',Y'); a pair off that route, and a pair it finds unequal (for the
+    witness), takes the two composites.
     """
     field = func.source.field
     mu = _laxators(func)
     ranks = RankOne(field)
-    rule = func.mor.entry if isinstance(func.mor, Entrywise) else None
+    rule = _entry_rule(func)
 
-    def quadruples():
-        for (x, y, xp, yp), us, vs in basis_quadruples(
-                field, func.source.universe, func.mor):
-            if not (us and vs):  # a zero Hom space: no pair, no laxator built
-                yield (x, y, xp, yp), ()
-                continue
-            fx, fy, fxp, fyp = func.obj(x), func.obj(y), func.obj(xp), func.obj(yp)
-            decode = pair_decoder(fx, fy)
-            mu_xy, mu_p = mu(x, y), mu(xp, yp)
-            fits = (mu_xy.source is tensor_obj(fx, fy)
-                    and mu_p.source is tensor_obj(fxp, fyp))
-            xy, xyp = tensor_obj(x, y), tensor_obj(xp, yp)
-            # summand layouts, fetched once per quadruple
-            cols, rows = ranks.layout(x, y), ranks.layout(xp, yp)
-            fcols, frows = ranks.layout(fx, fy), ranks.layout(fxp, fyp)
+    def sides(objects, us, vs):
+        images = tuple(map(func.obj, objects))
+        mu_xy, mu_p = mu(*objects[:2]), mu(*objects[2:])
 
-            def side(u, fu, efu, eu, v, fv, efv, ev):
-                fuv = None
-                if rule is not None:  # the image of u (x) v, no map built
-                    a, b, e = rule(xy, xyp, ranks.tensor(cols, rows, eu, ev))
-                else:
-                    fuv = func.mor(tensor_map(u, v))
-                    a, b, e = fuv.source, fuv.target, entry(fuv)
-                rank_one = (fits and None not in (e, efu, efv)
-                            and a is mu_xy.target and b is mu_p.target
-                            and between(fu, fx, fxp) and between(fv, fy, fyp))
-                if rank_one and ranks.equal(
-                        e, mu_xy, ranks.tensor(fcols, frows, efu, efv), mu_p):
-                    return HOLDS
-                if fuv is None:
-                    fuv = func.mor(tensor_map(u, v))
-                return Side(compose(mu_p, tensor_map(fu, fv)),
-                            compose(fuv, mu_xy), decode,
-                            equal=False if rank_one else None)
+        def composites(ub, vb, unequal):
+            (u, fu, *_), (v, fv, *_) = ub, vb
+            return Side(compose(mu_p, tensor_map(fu, fv)),
+                        compose(func.mor(tensor_map(u, v)), mu_xy),
+                        pair_decoder(*images[:2]), equal=False if unequal else None)
 
-            yield (x, y, xp, yp), (side(*a, *b) for a, b in product(us, vs))
+        return ranks.settle(mu_xy, mu_p, objects, images, us, vs, composites,
+                            image=rule)
 
-    return decide("laxator_naturality",
-                  Phase(quadruples(), budget.max_object_tuples, sampled=True))
+    return decide("laxator_naturality", Phase(basis_quadruples(
+        field, func.source.universe, sides, func.mor, func.obj),
+        budget.max_object_tuples, sampled=True))
 
 
 def check_triple_strictness(h: LaxFunctor, g: LaxFunctor, f: LaxFunctor,

@@ -120,9 +120,8 @@ class Side(NamedTuple):
     """One identity ``lhs == rhs`` of an instance; ``objects`` and ``note``,
     when given, replace the instance's objects and the phase's note.
 
-    ``equal``, when given, is the verdict of a route that built neither map
-    (``exactlin.RankOne``): a side it holds on needs no maps (``HOLDS``),
-    and one it fails on carries both maps, which must then differ."""
+    ``equal=False`` marks a side of a sampled phase that a route building
+    neither map (``exactlin.RankOne``) found unequal: its maps must differ."""
 
     lhs: object  # GradedMap
     rhs: object  # GradedMap
@@ -132,14 +131,12 @@ class Side(NamedTuple):
     equal: Optional[bool] = None
 
 
-HOLDS = Side(None, None, equal=True)
-
-
 class Phase(NamedTuple):
     """One quantifier: at most ``cap`` of its lazy ``(objects, sides)``
-    instances are taken; ``note`` labels a failure in the phase, and in a
-    ``sampled`` phase, one quantified over pairs of basis maps, every side
-    evaluated counts in ``sampled_maps``."""
+    instances are taken; ``note`` labels a failure in the phase.  A
+    ``sampled`` phase ranges over pairs of basis maps: each side counts in
+    ``sampled_maps``, an int k among its instances stands for k instances
+    with no side, and an int k among the sides for k sides that hold."""
 
     instances: Iterable
     cap: Optional[int] = None
@@ -153,38 +150,56 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
 
     An instance's sides are consumed before the next instance is pulled, so
     they may be built lazily from the generator's state.  A side whose two
-    maps are one object holds without a scan.  ``agrees(*objects)``, an
-    independent route, must match every instance's verdict, and so must a
-    side's own ``equal``.  A pass note is ``note`` formatted with the
-    per-phase counts.
+    maps are one object holds without a scan.  An independent route must
+    agree: ``agrees(*objects)`` with every instance of a phase that is not
+    sampled, and a sampled side's ``equal`` with its maps.  A pass note is
+    ``note`` formatted with the per-phase counts.
     """
     maps = 0
     counts = []
     for phase in phases:
-        count = 0
-        for objects, sides in islice(phase.instances, phase.cap):
-            count += 1
-            witness = None
-            for side in sides:
-                if phase.sampled:
-                    maps += 1
-                if side.equal:
+        count, cap, witness = 0, phase.cap, None
+        if phase.sampled:
+            instances = iter(phase.instances)
+            while witness is None and count != cap:
+                item = next(instances, None)
+                if item is None:
+                    break
+                if item.__class__ is int:  # a run of instances with no side
+                    count = item + count if cap is None else min(item + count, cap)
                     continue
-                if side.lhs is not side.rhs:
-                    witness = equality_witness(axiom, side.objects or objects,
-                                               side.lhs, side.rhs, side.decode)
-                    if witness is not None:
-                        break
-                if side.equal is not None:
+                count += 1
+                for side in item[1]:
+                    if side.__class__ is int:  # sides that hold
+                        maps += side
+                        continue
+                    maps += 1
+                    if side.lhs is not side.rhs:
+                        witness = equality_witness(axiom, side.objects or item[0],
+                                                   side.lhs, side.rhs, side.decode)
+                        if witness is not None:
+                            break
+                    if side.equal is not None:
+                        raise AssertionError(
+                            f"internal: rank-one route disagrees with matrices for {axiom}")
+        else:
+            for objects, sides in islice(phase.instances, cap):
+                count += 1
+                for side in sides:
+                    if side.lhs is not side.rhs:
+                        witness = equality_witness(axiom, side.objects or objects,
+                                                   side.lhs, side.rhs, side.decode)
+                        if witness is not None:
+                            break
+                if agrees is not None and agrees(*objects) != (witness is None):
                     raise AssertionError(
-                        f"internal: rank-one route disagrees with matrices for {axiom}")
-            if agrees is not None and agrees(*objects) != (witness is None):
-                raise AssertionError(
-                    f"internal: scalar route disagrees with matrices for {axiom}"
-                )
-            if witness is not None:
-                coverage = Coverage(sum(counts) + count, maps, side.note or phase.note)
-                return CheckReport(axiom, "fail", coverage, witness)
+                        f"internal: scalar route disagrees with matrices for {axiom}"
+                    )
+                if witness is not None:
+                    break
+        if witness is not None:
+            coverage = Coverage(sum(counts) + count, maps, side.note or phase.note)
+            return CheckReport(axiom, "fail", coverage, witness)
         counts.append(count)
     return CheckReport(axiom, "pass", Coverage(
         sum(counts), maps, note.format(*counts) if note is not None else None))

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from distmon.fields import FieldError, PrimeField, RATIONAL
+from distmon.fields import FieldError, PrimeField, RATIONAL, _is_prime
 
 
 def test_rational_parse_and_format():
@@ -79,3 +79,25 @@ def test_prime_field_laws(a, b, c):
     if a % 7:
         assert f.mul(a, f.inv(a)) == f.one
 
+
+
+def test_primality_is_exact_below_the_first_strong_pseudoprime():
+    # a sieve as the reference for every n below 200,000
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if _is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+    # strong pseudoprimes to 2, to 2 and 3, and to 2, 3 and 5
+    for n in (2047, 1373653, 25326001):
+        assert not _is_prime(n)
+    for p in (2147483647, 2147483629):
+        assert _is_prime(p)
+        assert PrimeField(p).p == p
+    # the least strong pseudoprime to 2, 3, 5 and 7 lies above 2**31
+    assert _is_prime(3215031751)
+    with pytest.raises(FieldError):
+        PrimeField(3215031751)

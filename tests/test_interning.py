@@ -25,7 +25,7 @@ from distmon import (
 from distmon.exactlin import _INTERNED
 from distmon.fields import _PRIME_FIELDS, FieldError, PrimeField, RATIONAL, Rationals
 from distmon.harness import CHECKS, run_examples
-from distmon.reports import HOLDS, Phase, equality_witness
+from distmon.reports import Phase, Side, equality_witness
 
 from conftest import degrees_for
 
@@ -163,7 +163,7 @@ def _records():
                                zero_map(RATIONAL, x, x))
     return [identity(RATIONAL, x), ds, ds.variants[0], CHECKS["D1"], func,
             identity_transformation(func), check_D1(struct, ds.budget),
-            ds.budget, check_D1(struct, ds.budget).coverage, witness, HOLDS,
+            ds.budget, check_D1(struct, ds.budget).coverage, witness, Side(None, None),
             Phase(()), search, search.rows[0], inv, inv.pairs[0], TRIVIAL]
 
 

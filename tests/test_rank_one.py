@@ -1,13 +1,18 @@
 """The rank-one route against the two composites it stands in for.
 
-D1, E0's naturality half and ``laxator_naturality`` decide each pair of
-elementary basis maps with ``exactlin.RankOne``, and build the composites
-only for a pair it finds unequal.  These tests check, on every elementary
-pair of each universe, that the kernel's verdict is ``first_difference``'s
-on the composites, and that each check's whole report (verdict, tuples,
-maps and witness) equals the one a loop that always builds the composites
-gives.  The builtin functors' entry rules (``laxfun.Entrywise``) are
-checked against the maps their ``mor`` builds, on every elementary map.
+D1, E0's naturality half and ``laxator_naturality`` decide every pair of
+elementary basis maps of an object quadruple in one
+``exactlin.RankOne.settle`` call, build the composites only for a pair it
+cannot hold, and count each run of quadruples with a zero Hom space in one
+step.  These tests check, on every elementary pair of each universe, that
+the kernel's verdict is ``first_difference``'s on the composites, and that
+each check's whole report (verdict, tuples, maps and witness) equals the
+one a loop that walks every quadruple and always builds the composites
+gives, also under caps that end inside a run of vacuous quadruples, at the
+first quadruple with a pair, and at a failing quadruple.  The functors'
+entry rules (``laxfun.Entrywise``, or the one ``laxfun._entry_rule`` makes
+for another ``mor``) are checked against the maps ``mor`` builds, on every
+elementary map.
 """
 
 from collections import Counter
@@ -29,10 +34,10 @@ from distmon.distortion import (
 )
 from distmon.exactlin import (
     RankOne, compose, elementary_maps, entry, flip_map, identity, pair_decoder,
-    GradedObject, block_map, sort_universe, tensor_map,
+    GradedObject, block_map, sort_universe, summand_scaling, tensor_map,
 )
 from distmon.errors import ObjectMismatch
-from distmon.laxfun import Entrywise
+from distmon.laxfun import Entrywise, _entry_rule
 from distmon.reports import CheckBudget, Phase, Side, decide, first_difference
 
 from conftest import Q, obj
@@ -53,7 +58,7 @@ def doubled(m):
         for d, block in m.dense_blocks()})
 
 
-def dense_family(universe, flips, seed):
+def dense_family(universe, flips, seed, field=Q):
     """A tabulated family of dense maps, about half of the entries zero, so
     that rows and columns hold no, one or several entries."""
     rng = Random(seed)
@@ -61,8 +66,8 @@ def dense_family(universe, flips, seed):
     for x, y in product(universe, repeat=2):
         src = tensor_obj(x, y)
         tgt = tensor_obj(y, x) if flips else src
-        entries[(x, y)] = graded_map(Q, src, tgt, {
-            d: [[Fraction(rng.choice((0, 0, 0, 1, 2, -1))) for _ in range(k)]
+        entries[(x, y)] = graded_map(field, src, tgt, {
+            d: [[field.from_int(rng.choice((0, 0, 0, 1, 2, -1))) for _ in range(k)]
                 for _ in range(tgt.dim(d))]
             for d, k in src.dims})
     return Tabulated(entries, f"dense{seed}")
@@ -86,6 +91,9 @@ def tabulated_projector():
 
 SIGMA_11 = StructuralFamily(
     flip_map, lambda f, i, j: f.parse("2") if (i, j) == (1, 1) else f.one, "s11=2")
+# the projection of X (x) Y onto its summands of total degree at most 1
+LOW = StructuralFamily(
+    summand_scaling, lambda f, i, j: f.one if i + j <= 1 else f.zero, "low")
 
 # (field, universe, family, flips, natural): D1's families flip, E0's do
 # not; the fakes fail naturality on some pairs
@@ -101,7 +109,13 @@ FAMILIES = {
     "nat-symmetric": (Q, NAT_U, symmetric_braiding(), True, True),
     "nat-sigma11": (Q, NAT_U, SIGMA_11, True, True),
     "nat-dense-sigma": (Q, NAT_U, dense_family(NAT_U, True, 3), True, False),
+    "nat-tabulated-sigma": (Q, NAT_U, tabulated_sigma(NAT_U), True, False),
+    "nat-low": (Q, NAT_U, LOW, False, True),
+    "nat-dense-idempotent": (Q, NAT_U, dense_family(NAT_U, False, 6), False, False),
     "fp-symmetric": (FP, FP_U, symmetric_braiding(), True, True),
+    "fp-dense-sigma": (FP, FP_U, dense_family(FP_U, True, 7, FP), True, False),
+    "fp-low": (FP, FP_U, LOW, False, True),
+    "fp-dense-idempotent": (FP, FP_U, dense_family(FP_U, False, 8, FP), False, False),
     "dense-symmetric": (Q, DENSE_U, symmetric_braiding(), True, True),
     "dense-dense-sigma": (Q, DENSE_U, dense_family(DENSE_U, True, 4), True, False),
     "dense-dense-idempotent": (
@@ -109,11 +123,26 @@ FAMILIES = {
 }
 
 
-def _composites_phase(field, family_at, universe, flips):
-    """Binaturality as it was decided before the rank-one route: both
-    composites for every pair."""
+def _quadruples(field, universe, image=lambda u: u):
+    """Every object quadruple in canonical order, with the elementary bases
+    of Hom(X, X') and Hom(Y, Y') as ``(u, image(u))`` pairs; a zero Hom
+    space gives an empty basis."""
+    bases = {}
+
+    def basis(a, b):
+        if (a, b) not in bases:
+            bases[a, b] = [(u, image(u)) for u in elementary_maps(field, a, b)]
+        return bases[a, b]
+
+    for x, y, xp, yp in product(universe, repeat=4):
+        yield (x, y, xp, yp), basis(x, xp), basis(y, yp)
+
+
+def _composites_phase(field, family_at, universe, flips, cap=BUDGET.max_object_tuples):
+    """Binaturality as it was decided before the rank-one route: each
+    quadruple one instance, both composites for every pair."""
     def instances():
-        for (x, y, xp, yp), fs, gs in basis_quadruples(field, universe):
+        for (x, y, xp, yp), fs, gs in _quadruples(field, universe):
             if not (fs and gs):
                 yield (x, y, xp, yp), ()
                 continue
@@ -122,30 +151,85 @@ def _composites_phase(field, family_at, universe, flips):
             yield (x, y, xp, yp), (
                 Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
                      compose(m_tgt, tensor_map(f, g)), decode)
-                for (f, *_), (g, *_) in product(fs, gs))
+                for (f, _), (g, _) in product(fs, gs))
 
-    return Phase(instances(), BUDGET.max_object_tuples, sampled=True)
+    return Phase(instances(), cap, sampled=True)
+
+
+def _with_pairs(field, universe, image=None, obj=None):
+    """The quadruples with a pair that ``basis_quadruples`` yields, each as
+    ``(k, objects, us, vs)`` with k its position in canonical order."""
+    k = 0
+    for item in basis_quadruples(field, universe, lambda *q: q, image, obj):
+        if item.__class__ is int:
+            k += item
+        else:
+            yield (k, *item[1])
+            k += 1
+
+
+def _settled(ranks, m, n, objects, images, us, vs, flip=False, image=None):
+    """The kernel's verdict on each pair of ``product(us, vs)``, in order:
+    "holds", "unequal", or "off" (handed over without a verdict)."""
+    out = []
+    for item in ranks.settle(m, n, objects, images, us, vs,
+                             lambda u, v, unequal: "unequal" if unequal else "off",
+                             flip, image):
+        out += ["holds"] * item if item.__class__ is int else [item]
+    return out
+
+
+def _boundary_caps(field, universe, failing):
+    """Caps that end inside the first run of at least two quadruples with a
+    zero Hom space, at and just after the first quadruple with a pair, and
+    just before, at and just after each quadruple in ``failing``."""
+    vacuous = {k for k, (_, fs, gs) in enumerate(_quadruples(field, universe))
+               if not (fs and gs)}
+    first = next(k for k, *_ in _with_pairs(field, universe))
+    caps = {first + 1, first + 2}
+    inside = [k + 1 for k in sorted(vacuous) if k + 1 in vacuous]
+    caps |= set(inside[:1])
+    for k in failing:
+        caps |= {k, k + 1, k + 2}
+    return sorted(caps), bool(inside)
+
+
+def test_basis_quadruples_count_each_vacuous_run_whole():
+    # every quadruple with a pair, at its position, with its bases; between
+    # them, maximal runs that add up to the quadruples with a zero Hom space
+    for field, universe in ((Q, PARITY_U), (Q, NAT_U), (FP, FP_U), (Q, DENSE_U)):
+        want = [(k, objects, [u for u, _ in fs], [g for g, _ in gs])
+                for k, (objects, fs, gs) in enumerate(_quadruples(field, universe))
+                if fs and gs]
+        got = [(k, objects, [u for u, *_ in us], [v for v, *_ in vs])
+               for k, objects, us, vs in _with_pairs(field, universe)]
+        assert got == want
+        items = list(basis_quadruples(field, universe, lambda *q: q))
+        kinds = [item.__class__ is int for item in items]
+        assert not any(a and b for a, b in zip(kinds, kinds[1:]))
+        runs = [item for item in items if item.__class__ is int]
+        assert sum(runs) == len(universe) ** 4 - len(want)
+        assert bool(runs) is (universe is not DENSE_U)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_kernel_matches_first_difference_on_every_elementary_pair(name):
+    # the kernel holds exactly the pairs whose composites agree, so the
+    # first pair it cannot hold is the first pair that fails
     field, universe, family, flips, natural = FAMILIES[name]
     ranks = RankOne(field)
     verdicts = Counter()
-    for (x, y, xp, yp), fs, gs in basis_quadruples(field, universe):
-        if not (fs and gs):
-            continue
+    for _, objects, fs, gs in _with_pairs(field, universe):
+        x, y, xp, yp = objects
         m_src, m_tgt = family.at(field, x, y), family.at(field, xp, yp)
-        for (f, _, ef, _), (g, _, eg, _) in product(fs, gs):
+        want = []
+        for (f, *_), (g, *_) in product(fs, gs):
             fg = tensor_map(f, g)
             gf = tensor_map(g, f) if flips else fg
-            e2 = ranks.tensor(ranks.layout(x, y), ranks.layout(xp, yp), ef, eg)
-            e = (ranks.tensor(ranks.layout(y, x), ranks.layout(yp, xp), eg, ef)
-                 if flips else e2)
-            assert (e, e2) == (entry(gf), entry(fg))
             same = first_difference(compose(gf, m_src), compose(m_tgt, fg)) is None
-            assert ranks.equal(e, m_src, e2, m_tgt) is same
+            want.append("holds" if same else "unequal")
             verdicts[same] += 1
+        assert _settled(ranks, m_src, m_tgt, objects, objects, fs, gs, flips) == want
     assert verdicts[True] > 0
     assert (verdicts[False] == 0) is natural
 
@@ -163,6 +247,32 @@ def test_binaturality_report_matches_the_composites(name):
     assert report == decide(axiom, _composites_phase(field, family_at,
                                                      universe, flips))
     assert report.passed is natural
+
+
+# the dense universe has no quadruple with a zero Hom space
+@pytest.mark.parametrize("name", sorted(n for n in FAMILIES if not n.startswith("dense-")))
+def test_capped_binaturality_reports_match_the_composites(name):
+    field, universe, family, flips, natural = FAMILIES[name]
+
+    def family_at(a, b):
+        return family.at(field, a, b)
+
+    axiom = "D1" if flips else "E0"
+    failing = [k for k, objects, fs, gs in _with_pairs(field, universe)
+               if "unequal" in _settled(RankOne(field), family_at(*objects[:2]),
+                                        family_at(*objects[2:]), objects, objects,
+                                        fs, gs, flips)]
+    assert bool(failing) is not natural
+    caps, has_run = _boundary_caps(field, universe, failing[:2])
+    assert has_run
+    for cap in caps:
+        report = decide(axiom, binaturality_phase(
+            field, family_at, universe, CheckBudget(max_object_tuples=cap), flips))
+        assert report == decide(axiom, _composites_phase(
+            field, family_at, universe, flips, cap)), cap
+        passed = cap <= min(failing, default=cap)
+        assert report.passed is passed
+        assert report.coverage.object_tuples == (cap if passed else failing[0] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +307,12 @@ def _functors(field, universe):
 LAX_UNIVERSES = {"nat": (Q, NAT_U), "fp": (FP, FP_U), "dense": (Q, DENSE_U)}
 
 
-def _laxator_composites(func):
+def _laxator_composites(func, cap=BUDGET.max_object_tuples):
     """``laxator_naturality`` as it was decided before the rank-one route."""
     field = func.source.field
 
     def quadruples():
-        for (x, y, xp, yp), us, vs in basis_quadruples(
+        for (x, y, xp, yp), us, vs in _quadruples(
                 field, func.source.universe, func.mor):
             if not (us and vs):
                 yield (x, y, xp, yp), ()
@@ -212,10 +322,9 @@ def _laxator_composites(func):
             yield (x, y, xp, yp), (
                 Side(compose(mu_p, tensor_map(fu, fv)),
                      compose(func.mor(tensor_map(u, v)), mu_xy), decode)
-                for (u, fu, *_), (v, fv, *_) in product(us, vs))
+                for (u, fu), (v, fv) in product(us, vs))
 
-    return decide("laxator_naturality",
-                  Phase(quadruples(), BUDGET.max_object_tuples, sampled=True))
+    return decide("laxator_naturality", Phase(quadruples(), cap, sampled=True))
 
 
 def _entrywise_functors(field, universe):
@@ -229,18 +338,24 @@ def _entrywise_functors(field, universe):
 
 @pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
 def test_entry_rules_match_the_maps_on_every_elementary_map(universe):
+    # the builtin functors' rules, and the rule a functor with a replaced
+    # (plain) morphism map gets from the maps it builds
     field, objs = LAX_UNIVERSES[universe]
     objects = sort_universe([*objs, *(tensor_obj(x, y)
                                       for x, y in product(objs, repeat=2))])
     maps = [(a, b, e) for a, b in product(objects, repeat=2)
             for e in elementary_maps(field, a, b)]
     assert maps
-    for name, func in _entrywise_functors(field, objs).items():
+    funcs = _entrywise_functors(field, objs)
+    for name, func in funcs.items():
         assert isinstance(func.mor, Entrywise), name
+    funcs.update({f"plain {name}": func._replace(mor=lambda f, _mor=func.mor: _mor(f))
+                  for name, func in list(funcs.items())})
+    for name, func in funcs.items():
+        rule = _entry_rule(func)
         for a, b, e in maps:
             fe = func.mor(e)
-            assert func.mor.entry(a, b, entry(e)) == (fe.source, fe.target,
-                                                      entry(fe)), name
+            assert rule(a, b, entry(e)) == (fe.source, fe.target, entry(fe)), name
 
 
 @pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
@@ -249,20 +364,19 @@ def test_laxator_kernel_matches_first_difference_on_every_elementary_pair(univer
     for name, func in _functors(field, objs).items():
         ranks = RankOne(field)
         verdicts = Counter()
-        for (x, y, xp, yp), us, vs in basis_quadruples(field, objs, func.mor):
-            if not (us and vs):
-                continue
-            fx, fy, fxp, fyp = map(func.obj, (x, y, xp, yp))
+        for _, objects, us, vs in _with_pairs(field, objs, func.mor, func.obj):
+            x, y, xp, yp = objects
             mu_xy, mu_p = func.mu(x, y), func.mu(xp, yp)
-            for (u, fu, eu, _), (v, fv, ev, _) in product(us, vs):
-                fuv = func.mor(tensor_map(u, v))
-                e2 = ranks.tensor(ranks.layout(fx, fy), ranks.layout(fxp, fyp),
-                                  eu, ev)
-                assert e2 == entry(tensor_map(fu, fv))
+            want = []
+            for (u, fu, *_), (v, fv, *_) in product(us, vs):
                 same = first_difference(compose(mu_p, tensor_map(fu, fv)),
-                                        compose(fuv, mu_xy)) is None
-                assert ranks.equal(entry(fuv), mu_xy, e2, mu_p) is same, name
+                                        compose(func.mor(tensor_map(u, v)),
+                                                mu_xy)) is None
+                want.append("holds" if same else "unequal")
                 verdicts[same] += 1
+            images = tuple(map(func.obj, objects))
+            assert _settled(ranks, mu_xy, mu_p, objects, images, us, vs,
+                            image=_entry_rule(func)) == want, name
         assert verdicts[True] > 0, name
         assert (verdicts[False] > 0) == name.endswith("bad-mu"), name
 
@@ -273,6 +387,22 @@ def test_laxator_report_matches_the_composites(universe):
     for name, func in _functors(field, objs).items():
         assert (check_laxator_naturality(func, BUDGET)
                 == _laxator_composites(func)), name
+
+
+@pytest.mark.parametrize("universe", ["nat", "fp"])
+def test_capped_laxator_reports_match_the_composites(universe):
+    field, objs = LAX_UNIVERSES[universe]
+    for name, func in _functors(field, objs).items():
+        first_fail = _laxator_composites(func).coverage.object_tuples
+        failing = [first_fail - 1] if name.endswith("bad-mu") else []
+        caps, has_run = _boundary_caps(field, objs, failing)
+        assert has_run
+        for cap in caps:
+            report = check_laxator_naturality(func, CheckBudget(max_object_tuples=cap))
+            assert report == _laxator_composites(func, cap), (name, cap)
+            passed = not (failing and cap > failing[0])
+            assert report.passed is passed, (name, cap)
+            assert report.coverage.object_tuples == (cap if passed else failing[0] + 1)
 
 
 def test_an_image_with_two_entries_takes_the_composites():
@@ -319,33 +449,50 @@ def test_a_replaced_morphism_map_drops_the_entry_rule(composite):
 @pytest.mark.parametrize("name", ["tau1-bad-mu", "doubled U"])
 def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
     # the rule route (tau1 with doubled laxators) and the built-map route
-    # (U with a doubled mor) both ask the kernel once per pair: each pair it
-    # finds unequal becomes one Side marked unequal, with no second call
+    # (U with a doubled mor) both ask the kernel once per quadruple, and the
+    # kernel accounts for each pair once: the pairs it holds and hands over
+    # add up to maps=, and each pair it finds unequal becomes one Side
+    # marked unequal, with no second verdict
     import distmon.laxfun as laxfun
     funcs = _functors(Q, NAT_U)
     func = (funcs[name] if name in funcs else
             funcs["U"]._replace(mor=lambda f, _mor=funcs["U"].mor: doubled(_mor(f))))
-    unequal, marked = [], []
-    kernel, make_side = RankOne.equal, laxfun.Side
+    calls, pairs, unequal, marked = [], [], [], []
+    kernel, make_side = RankOne.settle, laxfun.Side
 
-    def equal(self, *args):
-        same = kernel(self, *args)
-        unequal.extend(() if same else [args])
-        return same
+    def settle(self, m, n, objects, images, us, vs, unsettled, *args, **kw):
+        calls.append(objects)
+
+        def hand_over(u, v, is_unequal):
+            unequal.extend([(objects, u, v)] if is_unequal else ())
+            return unsettled(u, v, is_unequal)
+
+        for item in kernel(self, m, n, objects, images, us, vs, hand_over,
+                           *args, **kw):
+            pairs.append(item if item.__class__ is int else 1)
+            yield item
 
     def side(*args, **kw):
         marked.extend([kw] if kw.get("equal") is False else ())
         return make_side(*args, **kw)
 
-    monkeypatch.setattr(RankOne, "equal", equal)
+    monkeypatch.setattr(RankOne, "settle", settle)
     monkeypatch.setattr(laxfun, "Side", side)
-    assert check_laxator_naturality(func, BUDGET).verdict == "fail"
+    report = check_laxator_naturality(func, BUDGET)
+    assert report.verdict == "fail"
+    assert len(calls) == len(set(calls))
+    assert sum(pairs) == report.coverage.sampled_maps
     assert unequal and len(unequal) == len(marked)
 
 
 def test_a_kernel_that_disagrees_with_the_composites_is_an_internal_error(
         monkeypatch):
-    monkeypatch.setattr(RankOne, "equal", lambda self, e, m, e2, n: False)
+    def unequal_everywhere(self, m, n, objects, images, us, vs, unsettled,
+                           *args, **kw):
+        for u, v in product(us, vs):
+            yield unsettled(u, v, True)
+
+    monkeypatch.setattr(RankOne, "settle", unequal_everywhere)
     ds = _nat_ds(Q, NAT_U)
     with pytest.raises(AssertionError, match="internal: rank-one route"):
         check_D1(ds, BUDGET)
@@ -354,25 +501,42 @@ def test_a_kernel_that_disagrees_with_the_composites_is_an_internal_error(
 
 
 def test_entries_in_different_degrees_differ():
-    # E and E' both at (0, 0) of their blocks, but in degrees 0 and 1
-    x = obj(NAT, {0: 1, 1: 1})
-    e, e2 = elementary_maps(Q, x, x)
+    # E' = u (x) id_I is at (0, 0) of degree 0 or 1 of X = {0:1, 1:1}, and
+    # M = N = id: a rule that moves E to the same place in the other degree
+    # makes both pairs unequal, and the identity rule holds both
+    x, unit = obj(NAT, {0: 1, 1: 1}), obj(NAT, {0: 1})
     m = identity(Q, x)
+    us = [(u, u, entry(u), entry(u)) for u in elementary_maps(Q, x, x)]
+    vs = [(v, v, entry(v), entry(v)) for v in elementary_maps(Q, unit, unit)]
+    quadruple = (x, unit, x, unit)
+    e, e2 = (u for u, *_ in us)
     assert entry(e)[0] == 0 and entry(e2)[0] == 1
     assert first_difference(compose(e, m), compose(m, e2)) is not None
-    assert not RankOne(Q).equal(entry(e), m, entry(e2), m)
-    assert RankOne(Q).equal(entry(e), m, entry(e), m)
+
+    def moved(a, b, e):
+        d, r, c, v = e
+        return a, b, (1 - d, r, c, v)
+
+    assert _settled(RankOne(Q), m, m, quadruple, quadruple, us, vs,
+                    image=moved) == ["unequal", "unequal"]
+    assert _settled(RankOne(Q), m, m, quadruple, quadruple, us, vs,
+                    image=lambda a, b, e: (a, b, e)) == ["holds", "holds"]
 
 
-def test_family_maps_off_the_square_raise_as_the_composites_do():
+@pytest.mark.parametrize("target", ["wider", "narrower"])
+def test_family_maps_off_the_square_raise_as_the_composites_do(target):
     # one tabulated sigma map has the right blocks but a target with one
-    # more degree: the kernel would read the same rows, so only the object
-    # test sends its pairs to the composites, whose compose refuses it
+    # more degree, or with one dimension less than its rows need: only the
+    # object test sends its pairs to the composites, whose compose refuses
+    # it, and the kernel reads no row of it
     fam = tabulate_binary(symmetric_braiding(), Q, product(NAT_U, repeat=2))
     x, y = NAT_U[1], NAT_U[2]
     m = fam.entries[(x, y)]
-    wider = GradedObject(NAT, m.target.dims + ((9, 1),))
-    fam.entries[(x, y)] = block_map(Q, m.source, wider, dict(m.blocks))
+    dims = (m.target.dims + ((9, 1),) if target == "wider" else
+            tuple((d, k - 1 if d == m.target.dims[-1][0] else k)
+                  for d, k in m.target.dims))
+    fam.entries[(x, y)] = block_map(Q, m.source, GradedObject(NAT, dims),
+                                    dict(m.blocks))
     with pytest.raises(ObjectMismatch):
         check_D1(DistortedStructure(Q, NAT, NAT_U, fam, identity_unit()), BUDGET)
 

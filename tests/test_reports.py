@@ -71,6 +71,32 @@ def test_sampled_phases_count_every_side_evaluated_and_only_those():
     assert (report.coverage.object_tuples, report.coverage.sampled_maps) == (2, 3)
 
 
+def test_sampled_runs_and_held_sides_count_whole_up_to_the_cap():
+    # in a sampled phase an int instance is that many instances with no
+    # side, and an int side that many sides that hold; a cap inside a run
+    # cuts it there, and nothing past the cap is pulled
+    def items(limit):
+        seq = [3, ((0,), [2, SAME]), 4, ((1,), [SAME, 5]), 2]
+        for k, item in enumerate(seq):
+            if k == limit:
+                raise AssertionError(f"item {k} pulled past the cap")
+            yield item
+
+    for cap, limit, counts in ((None, None, (11, 9)), (0, 0, (0, 0)),
+                               (2, 1, (2, 0)), (3, 1, (3, 0)), (4, 2, (4, 3)),
+                               (6, 3, (6, 3)), (8, 3, (8, 3)), (9, 4, (9, 9)),
+                               (10, 5, (10, 9)), (99, None, (11, 9))):
+        report = decide("ax", Phase(items(limit), cap=cap, sampled=True))
+        assert report.passed
+        assert (report.coverage.object_tuples,
+                report.coverage.sampled_maps) == counts, cap
+
+    report = decide("ax", Phase(iter([5, ((0,), [2, DIFFERENT, SAME])]),
+                                sampled=True))
+    assert report.verdict == "fail"
+    assert (report.coverage.object_tuples, report.coverage.sampled_maps) == (6, 3)
+
+
 def test_disagreeing_scalar_route_raises_naming_the_axiom():
     with pytest.raises(AssertionError, match="D3"):
         decide("D3", Phase(instances([[SAME]])), agrees=lambda k: False)
