@@ -523,22 +523,30 @@ def test_entries_in_different_degrees_differ():
                     image=lambda a, b, e: (a, b, e)) == ["holds", "holds"]
 
 
-@pytest.mark.parametrize("target", ["wider", "narrower"])
-def test_family_maps_off_the_square_raise_as_the_composites_do(target):
-    # one tabulated sigma map has the right blocks but a target with one
-    # more degree, or with one dimension less than its rows need: only the
-    # object test sends its pairs to the composites, whose compose refuses
-    # it, and the kernel reads no row of it
+def _sigma_with_target(dims):
+    """The tabulated symmetric flip with one map's target replaced by an
+    object with the same blocks and the degree table ``dims(target)``."""
     fam = tabulate_binary(symmetric_braiding(), Q, product(NAT_U, repeat=2))
     x, y = NAT_U[1], NAT_U[2]
     m = fam.entries[(x, y)]
-    dims = (m.target.dims + ((9, 1),) if target == "wider" else
-            tuple((d, k - 1 if d == m.target.dims[-1][0] else k)
-                  for d, k in m.target.dims))
-    fam.entries[(x, y)] = block_map(Q, m.source, GradedObject(NAT, dims),
+    fam.entries[(x, y)] = block_map(Q, m.source, GradedObject(NAT, dims(m.target)),
                                     dict(m.blocks))
+    return DistortedStructure(Q, NAT, NAT_U, fam, identity_unit())
+
+
+def test_family_maps_off_the_square_raise_as_the_composites_do():
+    # one tabulated sigma map has the right blocks but a target with one
+    # more degree: the kernel would read the same rows, so only the object
+    # test sends its pairs to the composites, whose compose refuses it
     with pytest.raises(ObjectMismatch):
-        check_D1(DistortedStructure(Q, NAT, NAT_U, fam, identity_unit()), BUDGET)
+        check_D1(_sigma_with_target(lambda t: t.dims + ((9, 1),)), BUDGET)
+
+
+def test_a_family_map_with_rows_beyond_its_target_is_never_read():
+    # the map's rows lie outside its (zero) target: the kernel must read no
+    # row of a map that does not fit, so the composites refuse it instead
+    with pytest.raises(ObjectMismatch):
+        check_D1(_sigma_with_target(lambda t: ()), BUDGET)
 
 
 @pytest.mark.parametrize("kind", ["tau1", "U"])
