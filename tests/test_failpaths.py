@@ -19,7 +19,8 @@ from distmon import (
     check_D2, check_D3, check_D4, check_idempotent_axiom, check_interchange,
     check_lax_axioms, check_laxator_naturality, check_monoidal,
     check_SLambda, check_Ssigma, check_triple_strictness, collapse_functor,
-    check_lambda_sigma_commute, compose_lax, generate_universe,
+    check_lambda_conjugation, check_lambda_sigma_commute, compose_lax,
+    generate_universe,
     graded_character, graded_map, identity_functor, identity_unit,
     koszul_braiding, parity_projector, projection_transformation,
     scalar_transformation, symmetric_braiding, tabulate_binary, tensor_obj,
@@ -27,6 +28,7 @@ from distmon import (
 )
 from distmon.distortion import StructuralFamily, Tabulated
 from distmon.exactlin import associator, flip_map, identity
+from distmon.harness import CHECKS
 from distmon.reports import CheckBudget
 
 from conftest import Q, obj
@@ -204,6 +206,49 @@ def _twist_axiom(axiom):
                                   BUDGET, beta=koszul_braiding())
 
 
+def _tabulated_cocycle(axiom):
+    """The parity projector tabulated on the tensor closure, with the
+    identity at (ODD, ODD): idempotent, but no longer a cocycle."""
+    e = _generic_binary(parity_projector(), PARITY_U)
+    e.entries[(ODD, ODD)] = identity(Q, tensor_obj(ODD, ODD))
+    return check_idempotent_axiom(Q, e, axiom, PARITY_U, BUDGET)
+
+
+DENSE_U = generate_universe(NAT, 1, 2, 2)
+
+
+def dense(src, tgt, shift):
+    """A dense map with entries in {-1, 0, 1, 2}, varied by ``shift``."""
+    return graded_map(Q, src, tgt, {
+        d: [[Q.from_int((r + 2 * c + d + shift) % 4 - 1) for c in range(k)]
+            for r in range(tgt.dim(d))]
+        for d, k in src.dims})
+
+
+def _dense_lambda():
+    return Tabulated({x: dense(x, x, 1) for x in DENSE_U})
+
+
+def _lambda_sigma_dense():
+    # a structural sigma commutes with any graded Lambda summand by summand,
+    # so failing takes a sigma that is not binatural as well
+    sigma = Tabulated({(x, y): dense(tensor_obj(x, y), tensor_obj(y, x), 0)
+                       for x, y in product(DENSE_U, repeat=2)})
+    return check_lambda_sigma_commute(
+        DistortedStructure(Q, NAT, DENSE_U, sigma, _dense_lambda()), BUDGET)
+
+
+def _lambda_conjugation_dense():
+    ds = DistortedStructure(Q, NAT, DENSE_U, symmetric_braiding(), _dense_lambda())
+    cell = scalar_transformation(identity_functor(ds), Q.one)
+    target = obj(NAT, {0: 2})
+
+    def component(x, _c=cell.component):
+        return dense(x, x, 2) if x is target else _c(x)
+
+    return check_lambda_conjugation(cell._replace(component=component), BUDGET)
+
+
 def _lax(cap):
     t1 = truncation_functor(nat_ds(), 1)
     return check_lax_axioms(t1, CheckBudget(max_object_tuples=cap))
@@ -261,6 +306,12 @@ CASES = {
     "E0-tabulated-naturality": _e0_tabulated_naturality,
     "E1-tabulated": _e1_tabulated,
     "BL-parity-projector": lambda: _twist_axiom("BL"),
+    "BR-parity-projector": lambda: _twist_axiom("BR"),
+    "E2R-parity-projector": lambda: _twist_axiom("E2R"),
+    "E2L_cocycle-tabulated": lambda: _tabulated_cocycle("E2L_cocycle"),
+    "E2R_cocycle-tabulated": lambda: _tabulated_cocycle("E2R_cocycle"),
+    "lambda_sigma-dense": _lambda_sigma_dense,
+    "lambda_conjugation-dense-component": _lambda_conjugation_dense,
     "E2L-parity-projector": lambda: _twist_axiom("E2L"),
     "E0-parity-projector": lambda: _twist_axiom("E0"),
     "E2R_cocycle-parity-projector": lambda: _twist_axiom("E2R_cocycle"),
@@ -291,6 +342,8 @@ STRUCTURAL = "structural: exact for all morphisms"
 EXPECTED = {
     "BL-parity-projector": ("BL", "fail", 13, 0, None,
         (("{1:1}", "{1:1}", "{0:1}"), (1, 1, 0), 0, 0, 0, "0", "1")),
+    "BR-parity-projector": ("BR", "fail", 5, 0, None,
+        (("{0:1}", "{1:1}", "{1:1}"), (0, 1, 1), 0, 0, 0, "0", "1")),
     "D1-koszul": ("D1", "pass", 81, 64, STRUCTURAL, None),
     "D1-tabulated": ("D1", "fail", 42, 22, None,
         (("{1:1}", "{1:1}", "{1:1}", "{0:1, 1:1}"), (1, 1), 0, 0, 0, "2", "1")),
@@ -310,6 +363,12 @@ EXPECTED = {
         (("{1:1}", "{1:1}", "{1:1}", "{0:1, 1:1}"), (1, 1), 0, 0, 0, "1", "0")),
     "E1-tabulated": ("E1", "fail", 2, 0, None,
         (("{1:1}", "{0:1}"), (1, 0), 1, 0, 0, "0", "1")),
+    "E2L_cocycle-tabulated": ("E2L_cocycle", "fail", 15, 0, None,
+        (("{1:1}", "{1:1}", "{0:1, 1:1}"), (1, 1, 0), 0, 0, 0, "1", "0")),
+    "E2R-parity-projector": ("E2R", "fail", 5, 0, None,
+        (("{0:1}", "{1:1}", "{1:1}"), (0, 1, 1), 0, 0, 0, "1", "0")),
+    "E2R_cocycle-tabulated": ("E2R_cocycle", "fail", 15, 0, None,
+        (("{1:1}", "{1:1}", "{0:1, 1:1}"), (1, 1, 0), 0, 0, 0, "1", "0")),
     "E2L-parity-projector": ("E2L", "fail", 13, 0, None,
         (("{1:1}", "{1:1}", "{0:1}"), (1, 1, 0), 0, 0, 0, "1", "0")),
     "E2R_cocycle-parity-projector": ("E2R_cocycle", "pass", 27, 0,
@@ -326,6 +385,10 @@ EXPECTED = {
         "triangle pairs=36 pentagon quadruples=50", None),
     "interchange-projection": ("interchange", "fail", 6, 0, None,
         (("{1:1, 2:1}",), (1,), 1, 0, 0, "2", "1")),
+    "lambda_conjugation-dense-component": ("lambda_conjugation", "fail", 2, 0,
+        None, (("{0:2}",), (0,), 0, 0, 0, "-1", "4")),
+    "lambda_sigma-dense": ("lambda_sigma", "fail", 10, 0, None,
+        (("{0:2}", "{0:2}"), (0, 0), 0, 0, 0, "8", "1")),
     "lax-left-unit": ("lax", "fail", 1, 0, "left unit",
         (("{0:1}",), (0,), 0, 0, 0, "2", "1")),
     "lax-max-tuples-5": ("lax", "pass", 11, 0, "unit objects=6 pentagon triples=5",
@@ -350,6 +413,22 @@ EXPECTED = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fail_path_report_is_pinned(case):
     assert summary(CASES[case]()) == EXPECTED[case]
+
+
+# Check ids that no case above fails, each with the reason
+NO_FAILING_CASE = {
+    "classify": "c^2 = c and c = 1 leave only c = 1 in every field",
+    "search_idempotents": "a search row reports the verdicts of the E/B checks above",
+    "horizontal_strictness": "both sides expand to the same components while "
+                             "every functor's mor preserves composition",
+}
+
+
+def test_every_check_id_has_a_failing_case():
+    failing = {e[0] for e in EXPECTED.values() if e[1] == "fail"}
+    assert sorted(set(CHECKS) - failing - set(NO_FAILING_CASE)) == []
+    assert sorted(failing & set(NO_FAILING_CASE)) == []
+    assert set(NO_FAILING_CASE) <= set(CHECKS)
 
 
 # ---------------------------------------------------------------------------
