@@ -16,15 +16,13 @@ from .harness import emit_report, load_scenario, run_examples, run_suite
 
 def _cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.seed is not None or args.samples is not None:
-        scenario = scenario.with_overrides(seed=args.seed, samples=args.samples)
     reports = run_suite(scenario, fail_fast=args.fail_fast)
     sys.stdout.write(emit_report(scenario, reports, args.format))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_examples(args) -> int:
-    text, ok = run_examples(args.format, seed=args.seed)
+    text, ok = run_examples(args.format)
     sys.stdout.write(text)
     return 0 if ok else 1
 
@@ -39,8 +37,6 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="run the checks of a scenario file")
     p_check.add_argument("--scenario", required=True, help="path to a JSON scenario")
-    p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--samples", type=int, default=None)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--fail-fast", action="store_true")
     p_check.set_defaults(func=_cmd_check)
@@ -48,7 +44,6 @@ def main(argv=None) -> int:
     p_ex = sub.add_parser("examples", help="run the builtin catalog against "
                                            "its golden verdict table")
     p_ex.add_argument("--format", choices=("text", "json"), default="text")
-    p_ex.add_argument("--seed", type=int, default=None)
     p_ex.set_defaults(func=_cmd_examples)
 
     args = parser.parse_args(argv)

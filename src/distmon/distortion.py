@@ -28,14 +28,12 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .errors import BadUnitScalar, CoverageError, MonoidMismatch
-from .fields import RATIONAL
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, RankOne, TRIVIAL,
     compose, degree_scaling, elementary_maps, entry, flip_map, identity,
     associator, associator_inv,
     left_unitor, left_unitor_inv, right_unitor, right_unitor_inv,
-    pair_decoder, sort_universe, tensor_map,
-    tensor_obj, triple_decoder_left, triple_decoder_right, unit_object,
+    sort_universe, tensor_map, tensor_obj, unit_object,
 )
 from .reports import (
     CheckBudget, CheckReport, Phase, Side, decide, equality_witness,
@@ -285,7 +283,7 @@ def binaturality_phase(field, family_at: Callable, universe,
         def composites(fb, gb, unequal):
             f, g = fb[0], gb[0]
             return Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
-                        compose(m_tgt, tensor_map(f, g)), pair_decoder(*objects[:2]),
+                        compose(m_tgt, tensor_map(f, g)), objects[:2],
                         equal=False if unequal else None)
 
         return ranks.settle(m_src, m_tgt, objects, objects, fs, gs, composites, flips)
@@ -363,10 +361,10 @@ def check_D2(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     def normalization_sides(x):
         yield Side(ds.sigma_map(x, unit),
                    compose(left_unitor_inv(field, x), right_unitor(field, x)),
-                   pair_decoder(x, unit), (x, unit))
+                   (x, unit), (x, unit))
         yield Side(ds.sigma_map(unit, x),
                    compose(right_unitor_inv(field, x), left_unitor(field, x)),
-                   pair_decoder(unit, x), (unit, x))
+                   (unit, x), (unit, x))
 
     def unit_law():
         yield (unit,), [Side(ds.lambda_map(unit), identity(field, unit))]
@@ -395,27 +393,27 @@ def _hexagon_sides(ds: DistortedStructure, x, y, z):
                 compose(associator(field, y, x, z),
                         compose(tensor_id(sigma, field, x, y, z),
                                 associator_inv(field, x, y, z)))))
-    return [Side(hex1_lhs, hex1_rhs, triple_decoder_left(x, y, z)),
-            Side(hex2_lhs, hex2_rhs, triple_decoder_right(x, y, z))]
+    return [Side(hex1_lhs, hex1_rhs, ((x, y), z)),
+            Side(hex2_lhs, hex2_rhs, (x, (y, z)))]
 
 
 def check_D3(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     """Both typed hexagons over universe triples (capped by budget)."""
     triples = ((t, _hexagon_sides(ds, *t)) for t in product(ds.universe, repeat=3))
-    if not ds.sigma.structural:
-        return decide("D3", Phase(triples, budget.max_object_tuples))
-    field = ds.field
-    agrees = scalar_route(field, ds.monoid, None,
-                          lambda i, j: ds.sigma.coefficient(field, i, j), ("H1", "H2"))
+    note = agrees = None
+    if ds.sigma.structural:
+        field, note = ds.field, STRUCTURAL_NOTE
+        agrees = scalar_route(field, ds.monoid, None,
+                              lambda i, j: ds.sigma.coefficient(field, i, j), ("H1", "H2"))
     return decide("D3", Phase(triples, budget.max_object_tuples),
-                  note=STRUCTURAL_NOTE, agrees=agrees)
+                  note=note, agrees=agrees)
 
 
 def check_D4(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     """Multiplicativity of Lambda over universe pairs."""
     pairs = (((x, y), [Side(ds.lambda_map(tensor_obj(x, y)),
                             tensor_map(ds.lambda_map(x), ds.lambda_map(y)),
-                            pair_decoder(x, y))])
+                            (x, y))])
              for x, y in product(ds.universe, repeat=2))
     return decide("D4", Phase(pairs, budget.max_object_tuples))
 
@@ -429,7 +427,7 @@ def check_lambda_sigma_commute(ds: DistortedStructure,
             s = ds.sigma_map(x, y)
             lhs = compose(tensor_map(ds.lambda_map(y), ds.lambda_map(x)), s)
             rhs = compose(s, tensor_map(ds.lambda_map(x), ds.lambda_map(y)))
-            yield (x, y), [Side(lhs, rhs, pair_decoder(x, y))]
+            yield (x, y), [Side(lhs, rhs, (x, y))]
 
     return decide("lambda_sigma", Phase(pairs(), budget.max_object_tuples))
 
@@ -438,16 +436,11 @@ def classify_scalar_unit_families(field) -> list:
     """Constant unit families on the trivially graded model that satisfy both
     multiplicativity (c^2 = c) and the unit condition (c = 1).
 
-    Candidates are enumerated from a finite set: every residue for a small
-    prime field, a small exact palette otherwise.  The result is always
+    The candidates are 0 and 1, the only roots of c^2 = c in any field, and
+    each is decided by D4 and the unit condition.  The result is always
     exactly [1]: the two conditions leave only the identity family.
     """
-    if hasattr(field, "p") and field.p <= 257:
-        candidates = [field.from_int(r) for r in range(field.p)]
-    else:
-        candidates = [field.from_int(n) for n in (0, 1, -1, 2)]
-        if field is RATIONAL:
-            candidates.append(field.parse("1/2"))
+    candidates = [field.zero, field.one]
     universe = [GradedObject.of(TRIVIAL, {0: 1}), GradedObject.of(TRIVIAL, {0: 2})]
     budget = CheckBudget(max_object_tuples=16)
     unit = unit_object(TRIVIAL)

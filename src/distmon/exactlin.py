@@ -13,10 +13,10 @@ This module is the only one that knows that layout, and it knows it in
 one form: the offset of each summand in its degree.  Every map whose
 entries depend on it is built here: the associators and unitors, the
 flips X (x) Y -> Y (x) X, the summand scalings of X (x) Y, the collapse
-functor's laxator, and the decoders that name the factor degrees of a
-witness column; the degree scalings of X sit beside them.  They are
-concrete monomial matrices, and every identity in this package is
-decided by entrywise scalar equality.  The elementary maps, one entry 1
+functor's laxator, and ``factor_degrees``, which names the factor
+degrees of a witness column; the degree scalings of X sit beside them.
+They are concrete monomial matrices, and every identity in this package
+is decided by entrywise scalar equality.  The elementary maps, one entry 1
 each, are the basis over which naturality is decided.  The tensor of two
 elementary maps is elementary, so each side of a naturality square on a
 basis pair is one row or one column of a map the check already holds;
@@ -239,20 +239,14 @@ def tensor_obj(x: GradedObject, y: GradedObject) -> GradedObject:
 # nonzero scalar is truthy, which is how the kernels test for zero.
 
 
-_UNIT_COLUMNS: dict = {}
-
-
 def _units(field, n: int) -> tuple:
-    """The shared columns ``(r, field.one)``, for at least every ``r < n``.
-
-    Keyed by the field, not by ``field.one``: ``Fraction(1)`` and the int
-    ``1`` hash and compare equal.
-    """
-    cols = _UNIT_COLUMNS.get(field, ())
+    """The shared columns ``(r, field.one)``, for at least every ``r < n``;
+    the field keeps them (``field.units``) and frees them with itself."""
+    cols = field.units
     if len(cols) < n:
         one = field.one
         cols += tuple((r, one) for r in range(len(cols), n))
-        _UNIT_COLUMNS[field] = cols
+        field.units = cols
     return cols
 
 
@@ -986,33 +980,28 @@ class RankOne:
 
 
 # ---------------------------------------------------------------------------
-# witness decoders
+# witness decoder
 
 
-def pair_decoder(x: GradedObject, y: GradedObject):
-    """Column -> (i, j) factor degrees for a map out of X (x) Y."""
-    def decode(degree: int, col: int):
-        return _summand_at(x, y, degree, col)[:2]
-    return decode
+def _bracketed(factors) -> GradedObject:
+    """The tensor product that a tuple tree of objects names."""
+    if factors.__class__ is not tuple:
+        return factors
+    return tensor_obj(_bracketed(factors[0]), _bracketed(factors[1]))
 
 
-def triple_decoder_left(x: GradedObject, y: GradedObject, z: GradedObject):
-    """Column -> (i, j, k) for a map out of (X (x) Y) (x) Z."""
-    def decode(degree: int, col: int):
-        m, k, p = _summand_at(tensor_obj(x, y), z, degree, col)
-        i, j, _ = _summand_at(x, y, m, p // z.dim(k))
-        return (i, j, k)
-    return decode
-
-
-def triple_decoder_right(x: GradedObject, y: GradedObject, z: GradedObject):
-    """Column -> (i, j, k) for a map out of X (x) (Y (x) Z)."""
-    def decode(degree: int, col: int):
-        yz = tensor_obj(y, z)
-        i, m, p = _summand_at(x, yz, degree, col)
-        j, k, _ = _summand_at(y, z, m, p % yz.dim(m))
-        return (i, j, k)
-    return decode
+def factor_degrees(factors, degree: int, col: int) -> tuple:
+    """Per-factor degrees of basis column ``col`` of degree ``degree`` of a
+    tensor product named by its factors as a tuple tree: ``(x, y)``,
+    ``((x, y), z)`` or ``(x, (y, z))``.  A single object, or ``None``, is
+    one factor of degree ``degree``."""
+    if factors.__class__ is not tuple:
+        return (degree,)
+    left, right = factors
+    y = _bracketed(right)
+    i, j, pos = _summand_at(_bracketed(left), y, degree, col)
+    k = y.dim(j)
+    return factor_degrees(left, i, pos // k) + factor_degrees(right, j, pos % k)
 
 
 # ---------------------------------------------------------------------------

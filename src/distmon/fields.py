@@ -8,7 +8,9 @@ point anywhere and equality of scalars is always exact.
 Fields are interned: ``Rationals()`` returns ``RATIONAL`` and
 ``PrimeField(p)`` the one live field for ``p``, held weakly, so equal
 fields are the same object and fields compare and hash by reference.
-``copy``, ``deepcopy`` and ``pickle`` return the interned field.
+``copy``, ``deepcopy`` and ``pickle`` return the interned field.  Each
+field keeps ``units``, the shared unit columns ``(r, one)`` of
+``exactlin``'s blocks, so that they are freed with the field.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _is_prime(n: int) -> bool:
 class Rationals:
     """The field of rational numbers; there is one, ``RATIONAL``."""
 
-    __slots__ = ()
+    __slots__ = ("units",)
 
     name = "rational"
     zero = Fraction(0)
@@ -78,6 +80,9 @@ class Rationals:
     def fmt(self, a) -> str:
         return str(a)
 
+    def __reduce__(self):
+        return Rationals, ()
+
     def __repr__(self):
         return "Rationals()"
 
@@ -91,7 +96,7 @@ class PrimeField:
     ``PrimeField(p)`` returns the one live field for ``p``.
     """
 
-    __slots__ = ("p", "name", "zero", "one", "__weakref__")
+    __slots__ = ("p", "name", "zero", "one", "units", "__weakref__")
 
     def __new__(cls, p: int):
         # 7.0 hashes like 7 and must not find its field
@@ -104,6 +109,7 @@ class PrimeField:
             field.name = f"F{p}"
             field.zero = 0
             field.one = 1 % p
+            field.units = ()
             _PRIME_FIELDS[p] = field
         return field
 
@@ -154,3 +160,4 @@ class PrimeField:
 
 
 RATIONAL = object.__new__(Rationals)
+RATIONAL.units = ()

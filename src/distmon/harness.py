@@ -139,15 +139,6 @@ class Scenario(NamedTuple):
     def checks(self) -> list[str]:
         return list(self.raw["checks"])
 
-    def with_overrides(self, seed: Optional[int] = None,
-                       samples: Optional[int] = None) -> "Scenario":
-        doc = json.loads(json.dumps(self.raw))
-        if seed is not None:
-            doc["seed"] = seed
-        if samples is not None:
-            doc["samples"] = samples
-        return scenario_from_dict(doc)
-
 
 def scenario_hash(scenario: Scenario) -> str:
     canon = json.dumps(scenario.raw, sort_keys=True, separators=(",", ":"))

@@ -37,8 +37,8 @@ from .exactlin import (
     GradedMap, GradedObject, RankOne, TRIVIAL, associator, block_map,
     collapse_entry, collapse_laxator, collapse_map, compose, elementary, entry,
     identity,
-    left_unitor, pair_decoder, right_unitor, sort_universe, tensor_map,
-    tensor_obj, triple_decoder_left, unit_object,
+    left_unitor, right_unitor, sort_universe, tensor_map, tensor_obj,
+    unit_object,
 )
 from .distortion import (
     DistortedStructure, basis_quadruples, identity_unit, symmetric_braiding,
@@ -266,7 +266,7 @@ def check_lax_axioms(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
                 mu(x, tensor_obj(y, z)),
                 compose(tensor_map(identity(field, fx), mu(y, z)),
                         associator(field, fx, fy, fz)))
-            yield (x, y, z), [Side(lhs, rhs, triple_decoder_left(fx, fy, fz))]
+            yield (x, y, z), [Side(lhs, rhs, ((fx, fy), fz))]
 
     units = (((x,), unit_sides(x)) for x in func.source.universe)
     return decide("lax", Phase(units),
@@ -291,7 +291,7 @@ def check_Ssigma(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
             fx, fy = func.obj(x), func.obj(y)
             lhs = compose(func.mor(func.source.sigma_map(x, y)), mu(x, y))
             rhs = compose(mu(y, x), func.target.sigma_map(fx, fy))
-            yield (x, y), [Side(lhs, rhs, pair_decoder(fx, fy))]
+            yield (x, y), [Side(lhs, rhs, (fx, fy))]
 
     return decide("Ssigma", Phase(pairs(), budget.max_object_tuples))
 
@@ -336,7 +336,7 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
             (u, fu, *_), (v, fv, *_) = ub, vb
             return Side(compose(mu_p, tensor_map(fu, fv)),
                         compose(func.mor(tensor_map(u, v)), mu_xy),
-                        pair_decoder(*images[:2]), equal=False if unequal else None)
+                        images[:2], equal=False if unequal else None)
 
         return ranks.settle(mu_xy, mu_p, objects, images, us, vs, composites,
                             image=rule)

@@ -3,8 +3,8 @@
 A checker states each quantifier as a ``Phase`` of lazy instances (an
 object tuple and its ``Side`` identities); ``decide`` is the one loop that
 runs them.  It takes at most a phase's ``cap`` instances, counts every
-instance decided (``object_tuples``, the failing one included) and every
-side of a map-quantified phase (``sampled_maps``: the pairs of elementary
+instance decided (``object_tuples``, the failing one included) and, in a
+``sampled`` phase, every side (``sampled_maps``: the pairs of elementary
 basis maps on which naturality was decided), and builds the verdict.
 
 A failing check always carries a complete witness: the object tuple, the
@@ -18,7 +18,6 @@ value, and derived with ``._replace``.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
 
@@ -97,35 +96,35 @@ def first_difference(left, right):
     return None
 
 
-Decoder = Callable[[int, int], tuple]
-
-
 def equality_witness(axiom: str, objects, left, right,
-                     decode: Optional[Decoder] = None) -> Optional[Witness]:
+                     factors=None) -> Optional[Witness]:
     """Witness for ``left != right``, or ``None`` when the maps agree.
 
-    ``decode(block_degree, col)`` maps the first differing source basis
-    column back to its per-factor degrees.
+    ``factors`` names the factors of the maps' source as a tuple tree of
+    objects (``exactlin.factor_degrees``), which gives the per-factor degrees
+    of the first differing column.
     """
     diff = first_difference(left, right)
     if diff is None:
         return None
+    from .exactlin import factor_degrees  # exactlin imports this module
     degree, row, col, lv, rv = diff
-    factor = decode(degree, col) if decode is not None else (degree,)
-    return Witness(axiom, tuple(objects), tuple(factor), degree, row, col,
-                   lv, rv, left, right)
+    return Witness(axiom, tuple(objects), factor_degrees(factors, degree, col),
+                   degree, row, col, lv, rv, left, right)
 
 
 class Side(NamedTuple):
-    """One identity ``lhs == rhs`` of an instance; ``objects`` and ``note``,
-    when given, replace the instance's objects and the phase's note.
+    """One identity ``lhs == rhs`` of an instance; ``factors`` names the
+    factors of its source, as ``(x, y)``, ``((x, y), z)`` or ``(x, (y, z))``;
+    ``objects`` and ``note``, when given, replace the instance's objects and
+    the phase's note.
 
-    ``equal=False`` marks a side of a sampled phase that a route building
-    neither map (``exactlin.RankOne``) found unequal: its maps must differ."""
+    ``equal=False`` marks a side that a route building neither map
+    (``exactlin.RankOne``) found unequal: its maps must differ."""
 
     lhs: object  # GradedMap
     rhs: object  # GradedMap
-    decode: Optional[Decoder] = None
+    factors: Optional[tuple] = None
     objects: Optional[tuple] = None
     note: Optional[str] = None
     equal: Optional[bool] = None
@@ -133,10 +132,10 @@ class Side(NamedTuple):
 
 class Phase(NamedTuple):
     """One quantifier: at most ``cap`` of its lazy ``(objects, sides)``
-    instances are taken; ``note`` labels a failure in the phase.  A
-    ``sampled`` phase ranges over pairs of basis maps: each side counts in
-    ``sampled_maps``, an int k among its instances stands for k instances
-    with no side, and an int k among the sides for k sides that hold."""
+    instances are taken; ``note`` labels a failure in the phase.  An int k
+    among the instances stands for k instances with no side, and an int k
+    among an instance's sides for k sides that hold.  A ``sampled`` phase
+    ranges over pairs of basis maps: its sides count in ``sampled_maps``."""
 
     instances: Iterable
     cap: Optional[int] = None
@@ -148,55 +147,44 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
            agrees: Optional[Callable[..., bool]] = None) -> CheckReport:
     """Decide the phases in order; the first failing side ends the check.
 
-    An instance's sides are consumed before the next instance is pulled, so
-    they may be built lazily from the generator's state.  A side whose two
-    maps are one object holds without a scan.  An independent route must
-    agree: ``agrees(*objects)`` with every instance of a phase that is not
-    sampled, and a sampled side's ``equal`` with its maps.  A pass note is
-    ``note`` formatted with the per-phase counts.
+    The cap is tested before each instance is pulled, and an instance's
+    sides are consumed before the next one, so they may be built lazily
+    from the generator's state.  A side whose two maps are one object holds
+    without a scan.  An independent route must agree: ``agrees(*objects)``
+    with every instance, and a side's ``equal`` with its maps.  A pass note
+    is ``note`` formatted with the per-phase counts.
     """
     maps = 0
     counts = []
     for phase in phases:
         count, cap, witness = 0, phase.cap, None
-        if phase.sampled:
-            instances = iter(phase.instances)
-            while witness is None and count != cap:
-                item = next(instances, None)
-                if item is None:
-                    break
-                if item.__class__ is int:  # a run of instances with no side
-                    count = item + count if cap is None else min(item + count, cap)
+        unit = 1 if phase.sampled else 0  # what a side adds to ``maps``
+        instances = iter(phase.instances)
+        while witness is None and count != cap:
+            item = next(instances, None)
+            if item is None:
+                break
+            if item.__class__ is int:  # a run of instances with no side
+                count = item + count if cap is None else min(item + count, cap)
+                continue
+            count += 1
+            objects, sides = item
+            for side in sides:
+                if side.__class__ is int:  # sides that hold
+                    maps += side * unit
                     continue
-                count += 1
-                for side in item[1]:
-                    if side.__class__ is int:  # sides that hold
-                        maps += side
-                        continue
-                    maps += 1
-                    if side.lhs is not side.rhs:
-                        witness = equality_witness(axiom, side.objects or item[0],
-                                                   side.lhs, side.rhs, side.decode)
-                        if witness is not None:
-                            break
-                    if side.equal is not None:
-                        raise AssertionError(
-                            f"internal: rank-one route disagrees with matrices for {axiom}")
-        else:
-            for objects, sides in islice(phase.instances, cap):
-                count += 1
-                for side in sides:
-                    if side.lhs is not side.rhs:
-                        witness = equality_witness(axiom, side.objects or objects,
-                                                   side.lhs, side.rhs, side.decode)
-                        if witness is not None:
-                            break
-                if agrees is not None and agrees(*objects) != (witness is None):
+                maps += unit
+                if side.lhs is not side.rhs:
+                    witness = equality_witness(axiom, side.objects or objects,
+                                               side.lhs, side.rhs, side.factors)
+                    if witness is not None:
+                        break
+                if side.equal is not None:
                     raise AssertionError(
-                        f"internal: scalar route disagrees with matrices for {axiom}"
-                    )
-                if witness is not None:
-                    break
+                        f"internal: rank-one route disagrees with matrices for {axiom}")
+            if agrees is not None and agrees(*objects) != (witness is None):
+                raise AssertionError(
+                    f"internal: scalar route disagrees with matrices for {axiom}")
         if witness is not None:
             coverage = Coverage(sum(counts) + count, maps, side.note or phase.note)
             return CheckReport(axiom, "fail", coverage, witness)

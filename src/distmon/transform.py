@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import StructureMismatch
 from .exactlin import (
     GradedMap, GradedObject, block_map, compose, degree_scaling, identity,
-    pair_decoder, tensor_map, tensor_obj,
+    tensor_map, tensor_obj,
 )
 from .laxfun import LaxFunctor, compose_lax, identity_functor
 from .reports import (
@@ -149,7 +149,7 @@ def check_monoidal(theta: MonNatTrans, budget: CheckBudget) -> CheckReport:
             lhs = compose(g.mu(x, y),
                           tensor_map(theta.component(x), theta.component(y)))
             rhs = compose(theta.component(tensor_obj(x, y)), f.mu(x, y))
-            yield (x, y), [Side(lhs, rhs, pair_decoder(f.obj(x), f.obj(y)))]
+            yield (x, y), [Side(lhs, rhs, (f.obj(x), f.obj(y)))]
 
     def unit_square():
         unit = base.unit

@@ -30,9 +30,8 @@ from typing import NamedTuple, Optional
 from .errors import MonoidMismatch
 from .exactlin import (
     GradedMap, GradedObject, associator, associator_inv, compose,
-    identity, mat_rank, pair_decoder, sort_universe, summand_scaling,
-    tensor_map, tensor_obj, triple_decoder_left, triple_decoder_right,
-    unit_object,
+    identity, mat_rank, sort_universe, summand_scaling, tensor_map,
+    tensor_obj, unit_object,
 )
 # scalar_axiom_sides is re-exported beside the axiom table it evaluates
 from .distortion import (
@@ -100,7 +99,7 @@ def twist(beta, e):
 
 
 def _axiom_sides(field, e, beta, axiom: str, x, y, z):
-    """(lhs, rhs, decoder) for one triple-quantified axiom instance.
+    """(lhs, rhs, factors) for one triple-quantified axiom instance.
 
     The cocycle forms are built once per structural e (``shared``), so
     E2R_cocycle reuses the ones E2L_cocycle built.
@@ -117,12 +116,12 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
         lhs = compose(al, e.at(field, xy, z))
         rhs = compose(tensor_map(idx, e.at(field, y, z)),
                       compose(e.at(field, x, yz), al))
-        return lhs, rhs, triple_decoder_left(x, y, z)
+        return lhs, rhs, ((x, y), z)
     if axiom == "E2R":
         lhs = compose(alinv, e.at(field, x, yz))
         rhs = compose(tensor_map(e.at(field, x, y), idz),
                       compose(e.at(field, xy, z), alinv))
-        return lhs, rhs, triple_decoder_right(x, y, z)
+        return lhs, rhs, (x, (y, z))
     if axiom in ("E2L_cocycle", "E2R_cocycle"):
         pair_form = shared(e, ("pair", field, x, y, z), lambda: compose(
             e.at(field, xy, z), tensor_map(e.at(field, x, y), idz)))
@@ -130,9 +129,9 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
             tensor_map(idx, e.at(field, y, z)), e.at(field, x, yz)))
         if axiom == "E2L_cocycle":
             return (compose(al, pair_form), compose(split_form, al),
-                    triple_decoder_left(x, y, z))
+                    ((x, y), z))
         return (compose(pair_form, alinv), compose(alinv, split_form),
-                triple_decoder_right(x, y, z))
+                (x, (y, z)))
     if axiom == "BL":
         front = compose(tensor_map(idx, beta.at(field, y, z)),
                         tensor_map(idx, e.at(field, y, z)))
@@ -140,7 +139,7 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
                       compose(front, e.at(field, x, yz)))
         rhs = compose(tensor_map(e.at(field, x, z), idy),
                       compose(associator_inv(field, x, z, y), front))
-        return lhs, rhs, triple_decoder_right(x, y, z)
+        return lhs, rhs, (x, (y, z))
     if axiom == "BR":
         front = compose(tensor_map(beta.at(field, x, y), idz),
                         tensor_map(e.at(field, x, y), idz))
@@ -148,7 +147,7 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
                       compose(front, e.at(field, xy, z)))
         rhs = compose(tensor_map(idy, e.at(field, x, z)),
                       compose(associator(field, y, x, z), front))
-        return lhs, rhs, triple_decoder_left(x, y, z)
+        return lhs, rhs, ((x, y), z)
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
@@ -171,7 +170,7 @@ def check_idempotent_axiom(field, e, axiom: str, universe, budget: CheckBudget,
         def idempotency():
             for x, y in product(objs, repeat=2):
                 m = e.at(field, x, y)
-                yield (x, y), [Side(compose(m, m), m, pair_decoder(x, y))]
+                yield (x, y), [Side(compose(m, m), m, (x, y))]
 
         naturality = binaturality_phase(
             field, lambda a, b: e.at(field, a, b), objs, budget, flips=False)
@@ -183,22 +182,22 @@ def check_idempotent_axiom(field, e, axiom: str, universe, budget: CheckBudget,
             for x in objs:
                 yield (x,), (Side(e.at(field, *pair),
                                   identity(field, tensor_obj(*pair)),
-                                  pair_decoder(*pair), pair)
+                                  pair, pair)
                              for pair in ((x, unit), (unit, x)))
 
         return decide("E1", Phase(normalizations()))
 
     triples = (((x, y, z), [Side(*_axiom_sides(field, e, beta, axiom, x, y, z))])
                for x, y, z in product(objs, repeat=3))
-    structural = e.structural and (beta is None or beta.structural)
-    if not structural:
-        return decide(axiom, Phase(triples, budget.max_object_tuples))
-    agrees = scalar_route(
-        field, monoid, lambda i, j: e.coefficient(field, i, j),
-        lambda i, j: beta.coefficient(field, i, j) if beta is not None else field.one,
-        (axiom,))
+    note = agrees = None
+    if e.structural and (beta is None or beta.structural):
+        note = "structural scalar route cross-checked"
+        agrees = scalar_route(
+            field, monoid, lambda i, j: e.coefficient(field, i, j),
+            lambda i, j: beta.coefficient(field, i, j) if beta is not None else field.one,
+            (axiom,))
     return decide(axiom, Phase(triples, budget.max_object_tuples),
-                  note="structural scalar route cross-checked", agrees=agrees)
+                  note=note, agrees=agrees)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from distmon import (
 )
 from distmon.errors import MonoidMismatch, ObjectMismatch
 from distmon.exactlin import (
-    collapse_laxator, degree_scaling, elementary_maps, flip_map, pair_decoder,
-    summand_scaling, triple_decoder_left, triple_decoder_right,
+    collapse_laxator, degree_scaling, elementary_maps, factor_degrees, flip_map,
+    summand_scaling,
 )
 from distmon.fields import RATIONAL
 from distmon.reports import first_difference
@@ -449,16 +449,14 @@ def test_layout_maps_match_label_lists(data, field, monoid):
     assert_canonical(mu)
     assert dense(mu) == ref_collapse_laxator(field, x, y)
 
-    decode = pair_decoder(x, y)
     for n in xy.degrees:
         for c, lab in enumerate(pair_basis(x, y, n)):
-            assert decode(n, c) == lab[:2]
-    for decoder, labels in ((triple_decoder_left, triple_basis_left),
-                            (triple_decoder_right, triple_basis_right)):
-        decode = decoder(x, y, z)
+            assert factor_degrees((x, y), n, c) == lab[:2]
+    for factors, labels in ((((x, y), z), triple_basis_left),
+                            ((x, (y, z)), triple_basis_right)):
         for n in tensor_obj(xy, z).degrees:
             for c, lab in enumerate(labels(x, y, z, n)):
-                assert decode(n, c) == lab[:3]
+                assert factor_degrees(factors, n, c) == lab[:3]
 
 
 # ---------------------------------------------------------------------------

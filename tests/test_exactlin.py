@@ -15,7 +15,7 @@ from distmon import (
     right_unitor_inv, tensor_map, tensor_obj, unit_object, zero_map,
 )
 from distmon.errors import MonoidMismatch, ObjectMismatch
-from distmon.exactlin import pair_decoder
+from distmon.exactlin import factor_degrees
 from distmon.reports import CheckBudget
 
 from conftest import Q, map_strategy, obj, object_strategy, qmap
@@ -115,9 +115,8 @@ def test_tensor_obj_monoid_mismatch():
 
 def test_parity_pair_summands():
     x = obj(PARITY, {0: 1, 1: 1})
-    decode = pair_decoder(x, x)
-    assert [decode(0, c) for c in range(2)] == [(0, 0), (1, 1)]
-    assert [decode(1, c) for c in range(2)] == [(0, 1), (1, 0)]
+    assert [factor_degrees((x, x), 0, c) for c in range(2)] == [(0, 0), (1, 1)]
+    assert [factor_degrees((x, x), 1, c) for c in range(2)] == [(0, 1), (1, 0)]
 
 
 # ---------------------------------------------------------------------------

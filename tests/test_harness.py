@@ -378,13 +378,23 @@ def test_cli_check_json_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_seed_override_changes_hash_not_verdicts(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["check", "--seed", "1"],
+                                  ["check", "--samples", "1"],
+                                  ["examples", "--seed", "1"]])
+def test_cli_has_no_seed_or_samples_flag(argv, tmp_path, capsys):
+    # the document's keys are the only way to set them
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(minimal_doc()))
-    assert cli.main(["check", "--scenario", str(path), "--format", "json",
-                     "--seed", "99"]) == 0
-    seeded = json.loads(capsys.readouterr().out)
-    assert seeded["seed"] == 99
+    if argv[0] == "check":
+        argv = argv + ["--scenario", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: distmon")
+    assert f"unrecognized arguments: {' '.join(argv[1:3])}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_check_prints_both_search_rows(tmp_path, capsys):

@@ -144,6 +144,21 @@ def test_an_unreferenced_prime_field_leaves_the_intern_table():
     assert p not in _PRIME_FIELDS
 
 
+def test_a_prime_field_that_built_a_map_leaves_the_intern_table():
+    p = 1000033  # a modulus nothing else uses
+    key = ("nat", ((5, 2), (8, 3)))  # a table nothing else builds
+
+    def build():
+        x = GradedObject.of(NAT, {5: 2, 8: 3})
+        assert identity(PrimeField(p), x).field.p == p
+        assert _INTERNED[key] is x
+
+    build()
+    gc.collect()
+    assert key not in _INTERNED
+    assert p not in _PRIME_FIELDS
+
+
 def _records():
     """One instance of every record type, built by the public constructors."""
     ds = scenario_from_dict({

@@ -33,7 +33,7 @@ from distmon.distortion import (
     StructuralFamily, Tabulated, basis_quadruples, binaturality_phase,
 )
 from distmon.exactlin import (
-    RankOne, compose, elementary_maps, entry, flip_map, identity, pair_decoder,
+    RankOne, compose, elementary_maps, entry, flip_map, identity,
     GradedObject, block_map, sort_universe, summand_scaling, tensor_map,
 )
 from distmon.errors import ObjectMismatch
@@ -147,10 +147,9 @@ def _composites_phase(field, family_at, universe, flips, cap=BUDGET.max_object_t
                 yield (x, y, xp, yp), ()
                 continue
             m_src, m_tgt = family_at(x, y), family_at(xp, yp)
-            decode = pair_decoder(x, y)
             yield (x, y, xp, yp), (
                 Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
-                     compose(m_tgt, tensor_map(f, g)), decode)
+                     compose(m_tgt, tensor_map(f, g)), (x, y))
                 for (f, _), (g, _) in product(fs, gs))
 
     return Phase(instances(), cap, sampled=True)
@@ -317,11 +316,11 @@ def _laxator_composites(func, cap=BUDGET.max_object_tuples):
             if not (us and vs):
                 yield (x, y, xp, yp), ()
                 continue
-            decode = pair_decoder(func.obj(x), func.obj(y))
+            factors = (func.obj(x), func.obj(y))
             mu_xy, mu_p = func.mu(x, y), func.mu(xp, yp)
             yield (x, y, xp, yp), (
                 Side(compose(mu_p, tensor_map(fu, fv)),
-                     compose(func.mor(tensor_map(u, v)), mu_xy), decode)
+                     compose(func.mor(tensor_map(u, v)), mu_xy), factors)
                 for (u, fu), (v, fv) in product(us, vs))
 
     return decide("laxator_naturality", Phase(quadruples(), cap, sampled=True))
