@@ -201,9 +201,14 @@ def _e1_tabulated():
                                   PARITY_U, BUDGET)
 
 
-def _twist_axiom(axiom):
-    return check_idempotent_axiom(Q, parity_projector(), axiom, PARITY_U,
+def _twist_axiom(axiom, universe=PARITY_U):
+    return check_idempotent_axiom(Q, parity_projector(), axiom, universe,
                                   BUDGET, beta=koszul_braiding())
+
+
+# objects with several basis vectors per degree, on which the two bracketings
+# of a triple tensor order their columns differently
+WIDE_U = [obj(PARITY, {0: 1, 1: 2}), obj(PARITY, {0: 2, 1: 1})]
 
 
 def _tabulated_cocycle(axiom):
@@ -314,6 +319,13 @@ CASES = {
     "lambda_conjugation-dense-component": _lambda_conjugation_dense,
     "E2L-parity-projector": lambda: _twist_axiom("E2L"),
     "E0-parity-projector": lambda: _twist_axiom("E0"),
+    "E2L-wide": lambda: _twist_axiom("E2L", WIDE_U),
+    "E2R-wide": lambda: _twist_axiom("E2R", WIDE_U),
+    "BL-wide": lambda: _twist_axiom("BL", WIDE_U),
+    "BR-wide": lambda: _twist_axiom("BR", WIDE_U),
+    "D3-structural-twist-wide": lambda: check_D3(DistortedStructure(
+        Q, PARITY, WIDE_U, twist(koszul_braiding(), parity_projector()),
+        identity_unit()), BUDGET),
     "E2R_cocycle-parity-projector": lambda: _twist_axiom("E2R_cocycle"),
     "D1-koszul": lambda: check_D1(parity_ds(koszul_braiding()), BUDGET),
     "D3-koszul": lambda: _d3(koszul_braiding()),
@@ -342,6 +354,10 @@ STRUCTURAL = "structural: exact for all morphisms"
 EXPECTED = {
     "BL-parity-projector": ("BL", "fail", 13, 0, None,
         (("{1:1}", "{1:1}", "{0:1}"), (1, 1, 0), 0, 0, 0, "0", "1")),
+    "BL-wide": ("BL", "fail", 1, 0, None,
+        (("{0:1, 1:2}",) * 3, (1, 1, 0), 0, 9, 7, "0", "1")),
+    "BR-wide": ("BR", "fail", 1, 0, None,
+        (("{0:1, 1:2}",) * 3, (0, 1, 1), 0, 5, 5, "0", "1")),
     "BR-parity-projector": ("BR", "fail", 5, 0, None,
         (("{0:1}", "{1:1}", "{1:1}"), (0, 1, 1), 0, 0, 0, "0", "1")),
     "D1-koszul": ("D1", "pass", 81, 64, STRUCTURAL, None),
@@ -354,6 +370,8 @@ EXPECTED = {
         (("{1:1}", "{1:1}", "{1:1}"), (1, 1, 1), 1, 0, 0, "1", "0")),
     "D3-tabulated-twist": ("D3", "fail", 14, 0, None,
         (("{1:1}", "{1:1}", "{1:1}"), (1, 1, 1), 1, 0, 0, "1", "0")),
+    "D3-structural-twist-wide": ("D3", "fail", 1, 0, None,
+        (("{0:1, 1:2}",) * 3, (1, 1, 1), 1, 5, 2, "1", "0")),
     "D4-character-table": ("D4", "fail", 8, 0, None,
         (("{1:1}", "{1:1}"), (1, 1), 2, 0, 0, "3", "4")),
     "E0-parity-projector": ("E0", "pass", 90, 64, STRUCTURAL, None),
@@ -369,6 +387,10 @@ EXPECTED = {
         (("{0:1}", "{1:1}", "{1:1}"), (0, 1, 1), 0, 0, 0, "1", "0")),
     "E2R_cocycle-tabulated": ("E2R_cocycle", "fail", 15, 0, None,
         (("{1:1}", "{1:1}", "{0:1, 1:1}"), (1, 1, 0), 0, 0, 0, "1", "0")),
+    "E2L-wide": ("E2L", "fail", 1, 0, None,
+        (("{0:1, 1:2}",) * 3, (1, 1, 0), 0, 7, 1, "1", "0")),
+    "E2R-wide": ("E2R", "fail", 1, 0, None,
+        (("{0:1, 1:2}",) * 3, (0, 1, 1), 0, 5, 1, "1", "0")),
     "E2L-parity-projector": ("E2L", "fail", 13, 0, None,
         (("{1:1}", "{1:1}", "{0:1}"), (1, 1, 0), 0, 0, 0, "1", "0")),
     "E2R_cocycle-parity-projector": ("E2R_cocycle", "pass", 27, 0,
