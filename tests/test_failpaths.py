@@ -168,6 +168,15 @@ def _d3(sigma):
     return check_D3(parity_ds(sigma), BUDGET)
 
 
+def _d3_second_hexagon():
+    """s(i, j) = 2^i at j = 1 and 1 elsewhere: the first hexagon holds and the
+    second fails at degrees (1, 1, 1), among other summands of degree 3."""
+    sigma = StructuralFamily(
+        flip_map, lambda f, i, j: f.from_int(2 ** i if j == 1 else 1), "s=2^i@1")
+    wide = [obj(NAT, {0: 1, 1: 2, 2: 1})]
+    return check_D3(DistortedStructure(Q, NAT, wide, sigma, identity_unit()), BUDGET)
+
+
 def _d4_character_table():
     return check_D4(nat_ds(character_family(Q, [Q.one, Q.parse("2"),
                                                  Q.parse("3")])), BUDGET)
@@ -206,9 +215,9 @@ def _twist_axiom(axiom, universe=PARITY_U):
                                   BUDGET, beta=koszul_braiding())
 
 
-# objects with several basis vectors per degree, on which the two bracketings
+# an object with two basis vectors in one degree, on which the two bracketings
 # of a triple tensor order their columns differently
-WIDE_U = [obj(PARITY, {0: 1, 1: 2}), obj(PARITY, {0: 2, 1: 1})]
+WIDE_U = [obj(PARITY, {0: 1, 1: 2})]
 
 
 def _tabulated_cocycle(axiom):
@@ -326,6 +335,7 @@ CASES = {
     "D3-structural-twist-wide": lambda: check_D3(DistortedStructure(
         Q, PARITY, WIDE_U, twist(koszul_braiding(), parity_projector()),
         identity_unit()), BUDGET),
+    "D3-second-hexagon-wide": _d3_second_hexagon,
     "E2R_cocycle-parity-projector": lambda: _twist_axiom("E2R_cocycle"),
     "D1-koszul": lambda: check_D1(parity_ds(koszul_braiding()), BUDGET),
     "D3-koszul": lambda: _d3(koszul_braiding()),
@@ -370,6 +380,8 @@ EXPECTED = {
         (("{1:1}", "{1:1}", "{1:1}"), (1, 1, 1), 1, 0, 0, "1", "0")),
     "D3-tabulated-twist": ("D3", "fail", 14, 0, None,
         (("{1:1}", "{1:1}", "{1:1}"), (1, 1, 1), 1, 0, 0, "1", "0")),
+    "D3-second-hexagon-wide": ("D3", "fail", 1, 0, None,
+        (("{0:1, 1:2, 2:1}",) * 3, (1, 1, 1), 3, 6, 5, "1", "4")),
     "D3-structural-twist-wide": ("D3", "fail", 1, 0, None,
         (("{0:1, 1:2}",) * 3, (1, 1, 1), 1, 5, 2, "1", "0")),
     "D4-character-table": ("D4", "fail", 8, 0, None,
