@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 from .errors import BadUnitScalar, CoverageError, MonoidMismatch
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, RankOne, TRIVIAL,
-    compose, degree_scaling, elementary_maps, entry, flip_map, identity,
+    compose, degree_scaling, elementary, flip_map, identity,
     associator, associator_inv,
     left_unitor, left_unitor_inv, right_unitor, right_unitor_inv,
     sort_universe, tensor_map, tensor_obj, unit_object,
@@ -217,19 +217,22 @@ class DistortedStructure:
 
 
 # ---------------------------------------------------------------------------
-# shared binaturality quantifier (used by D1 and by idempotent E0)
+# shared naturality quantifier (D1, idempotent E0 and laxator naturality)
 
 
-def basis_quadruples(field, universe, sides: Callable, image: Callable = None,
+def basis_quadruples(field, universe, sides: Callable, mover: Callable = None,
                      obj: Callable = None):
     """A sampled ``Phase``'s instances over ``product(universe, repeat=4)``:
     each run of quadruples with a zero Hom space, which hold vacuously, as
     its length, and any other (X, Y, X', Y') as ``(objects, sides(objects,
-    us, vs))`` with the elementary bases of Hom(X, X') and Hom(Y, Y').  A
-    basis map u : A -> B comes as ``(u, F(u), entry(F(u)), entry(u))``, F =
-    ``image`` (the identity by default), where ``entry(F(u))`` is ``None``
-    unless F(u) is a map ``obj(A) -> obj(B)``; each basis is built once."""
-    n, last, bases = len(universe), -1, {}
+    us, vs))`` with the bases of Hom(X, X') and Hom(Y, Y').  A basis of
+    Hom(A, B) is an entry table ``(entries, images)``, built once per walk:
+    the entries ``(d, r, c, 1)`` of the elementary maps in ``elementary_maps``
+    order, and the entry of each one's image under F, the identity when
+    ``mover`` is None.  Otherwise ``mover(A, B)`` is ``(FA, FB, move)`` and
+    the images are ``move``'s, or all ``None`` unless FA, FB are ``obj(A)``,
+    ``obj(B)``."""
+    n, last, bases, one = len(universe), -1, {}, field.one
     nonzero = cache(lambda a: [c for c, t in enumerate(universe)
                                if any(t.dim(d) for d in universe[a].degrees)])
 
@@ -237,12 +240,13 @@ def basis_quadruples(field, universe, sides: Callable, image: Callable = None,
         got = bases.get((a, b))
         if got is None:
             s, t = universe[a], universe[b]
-            fs, ft = (s, t) if obj is None else (obj(s), obj(t))
-            got = bases[(a, b)] = []
-            for u in elementary_maps(field, s, t):
-                fu, eu = u if image is None else image(u), entry(u)
-                fits = fu.source is fs and fu.target is ft
-                got.append((u, fu, (eu if fu is u else entry(fu)) if fits else None, eu))
+            entries = images = [(d, r, c, one) for d, k in s.dims
+                                for r in range(t.dim(d)) for c in range(k)]
+            if mover is not None:
+                fs, ft, move = mover(s, t)
+                images = (list(map(move, entries)) if fs is obj(s) and ft is obj(t)
+                          else [None] * len(entries))
+            got = bases[a, b] = entries, images
         return got
 
     for a, x in enumerate(universe):
@@ -259,6 +263,23 @@ def basis_quadruples(field, universe, sides: Callable, image: Callable = None,
         yield n ** 4 - last - 1
 
 
+def rank_one_phase(field, universe, family_at: Callable, composites: Callable,
+                   cap, flip: bool = False, mover: Callable = None,
+                   obj: Callable = None) -> Phase:
+    """The sampled ``Phase`` of ``basis_quadruples`` with one
+    ``RankOne.settle`` call per quadruple, ``composites`` as its
+    ``unsettled``.  The half of each object pair, with its map
+    ``family_at(A, B)`` and its images under ``obj``, is built once."""
+    ranks = RankOne(field)
+    half = cache(lambda pair: ranks.half(family_at(*pair), pair, pair if obj is None
+                                         else (obj(pair[0]), obj(pair[1])), flip))
+
+    def sides(objects, us, vs):
+        return ranks.settle(half(objects[:2]), half(objects[2:]), us, vs,
+                            composites, mover)
+    return Phase(basis_quadruples(field, universe, sides, mover, obj), cap, sampled=True)
+
+
 def binaturality_phase(field, family_at: Callable, universe,
                        budget: CheckBudget, flips: bool = True) -> Phase:
     """Naturality in both arguments, decided on every pair (f, g) of
@@ -270,26 +291,21 @@ def binaturality_phase(field, family_at: Callable, universe,
     (f, g), so the basis pairs decide the square for all maps; a quadruple
     with a zero Hom space has no pair and holds vacuously, and its family
     maps are not built.  ``f (x) g`` and ``g (x) f`` are elementary, so each
-    side is one row of ``m_{X,Y}`` or one column of ``m_{X',Y'}``, and one
-    ``exactlin.RankOne.settle`` call decides every pair of a quadruple
-    without building a map; the composites are built only for a pair it
-    finds unequal, for the witness, or for maps that do not fit the square.
+    side is one row of ``m_{X,Y}`` or one column of ``m_{X',Y'}``: one
+    ``exactlin.RankOne.settle`` call decides every pair of a quadruple from
+    the entry tables of ``basis_quadruples``.  f, g and the composites are
+    built only for a pair it finds unequal, for the witness, or for family
+    maps that do not fit the square.
     """
-    ranks = RankOne(field)
+    def composites(s, t, ef, eg, unequal):
+        (m, (x, y)), (n, (xp, yp)) = s[:2], t[:2]
+        f, g = elementary(field, x, xp, ef), elementary(field, y, yp, eg)
+        return Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m),
+                    compose(n, tensor_map(f, g)), (x, y),
+                    equal=False if unequal else None)
 
-    def sides(objects, fs, gs):
-        m_src, m_tgt = family_at(*objects[:2]), family_at(*objects[2:])
-
-        def composites(fb, gb, unequal):
-            f, g = fb[0], gb[0]
-            return Side(compose(tensor_map(g, f) if flips else tensor_map(f, g), m_src),
-                        compose(m_tgt, tensor_map(f, g)), objects[:2],
-                        equal=False if unequal else None)
-
-        return ranks.settle(m_src, m_tgt, objects, objects, fs, gs, composites, flips)
-
-    return Phase(basis_quadruples(field, universe, sides), budget.max_object_tuples,
-                 sampled=True)
+    return rank_one_phase(field, universe, family_at, composites,
+                          budget.max_object_tuples, flips)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ each, are the basis over which naturality is decided.  The tensor of two
 elementary maps is elementary, so each side of a naturality square on a
 basis pair is one row or one column of a map the check already holds;
 ``RankOne.settle`` compares them for all pairs of a quadruple at once, from
-the summand offsets, and builds no map.  ``collapse_entry`` gives the
-collapse functor's image of an elementary map, in ``collapse_map``'s layout.
+the summand offsets and the basis entries alone, and builds no map.
 
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
@@ -554,17 +553,6 @@ def collapse_map(f: GradedMap, source: GradedObject, target: GradedObject) -> Gr
     return _raw_map(f.field, source, target, {0: tuple(cols)})
 
 
-def collapse_entry(source: GradedObject, target: GradedObject, e):
-    """The entry of ``collapse_map(E, ...)`` for the elementary map
-    ``E : source -> target`` with entry ``e`` (``entry``; ``()`` for zero):
-    degree d's block starts at row ``target.starts[d]`` and column
-    ``source.starts[d]``."""
-    if not e:
-        return e
-    d, r, c, v = e
-    return 0, target.starts[d] + r, source.starts[d] + c, v
-
-
 def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     """f (x) g, built summand by summand from products of columns.
 
@@ -879,14 +867,14 @@ class RankOne:
     scaled by ``b``.  The two are equal exactly when both are zero, or when
     both are the single entry (R, C') with ``a M[C, C'] == N[R, R'] b``.
     That holds for any M and N, monomial or dense.  ``settle`` decides all
-    pairs of a quadruple in one call; its tables (summand layouts, rows of
-    the maps read) live as long as the instance, kept for one check.
+    pairs of a quadruple in one call, from the ``half`` of (X, Y) and of
+    (X', Y'); the summand layouts live as long as the instance, kept for
+    one check.
     """
 
     def __init__(self, field):
         self.one, self.mul = field.one, field.mul
         self._layouts: dict = {}  # (x, y) -> (X (x) Y, i -> j -> (n, offset, dim Y_j))
-        self._maps: dict = {}     # id(m) -> (m, degree -> rows, degree -> block)
 
     def _layout(self, x: GradedObject, y: GradedObject) -> tuple:
         """X (x) Y and its summand layout: i -> j -> (n, offset, dim Y_j)."""
@@ -898,62 +886,67 @@ class RankOne:
             got = self._layouts[(x, y)] = (tensor_obj(x, y), table)
         return got
 
-    def _tables(self, m: GradedMap) -> tuple:
-        got = self._maps.get(id(m))
-        if got is None:
-            rows = {}
+    def half(self, m: GradedMap, objects: tuple, images: tuple,
+             flip: bool = False) -> tuple:
+        """What ``settle`` reads of the pair (A, B) = ``objects`` and its map
+        ``m : FA (x) FB -> ...``, (FA, FB) = ``images``: ``(m, objects,
+        images, flip, T, layout of T, layout of FA (x) FB, rows, cols)``,
+        where T, the side of E, is A (x) B (B (x) A when ``flip``), and
+        ``rows`` and ``cols`` map a degree to m's rows and columns.  They are
+        ``None`` when m's source is not FA (x) FB or a row lies beyond its
+        target, so such a map is never read."""
+        tensor, layout = self._layout(*(objects[::-1] if flip else objects))
+        source, image_layout = self._layout(*images)
+        rows = cols = None
+        dim = m.target.dim
+        if m.source is source and all(not col or col[-2] < dim(d)
+                                      for d, block in m.blocks for col in block):
+            rows, cols = {}, dict(m.blocks)
             for d, block in m.blocks:
-                rows[d] = out = [[] for _ in range(m.target.dim(d))]
+                rows[d] = out = [[] for _ in range(dim(d))]
                 for c, col in enumerate(block):
                     it = iter(col)
                     for r, v in zip(it, it):
                         out[r] += (c, v)
-            got = self._maps[id(m)] = (m, rows, dict(m.blocks))
-        return got
+        return m, objects, images, flip, tensor, layout, image_layout, rows, cols
 
-    def settle(self, m: GradedMap, n: GradedMap, objects: tuple, images: tuple,
-               us, vs, unsettled: Callable, flip: bool = False,
-               image: Callable = None):
-        """Decide ``E o M == N o E'`` for each pair (u, v) of ``product(us,
-        vs)`` in order, building no map: yield the number of consecutive
-        pairs that hold, and ``unsettled(u, v, unequal)`` for any other.
-        ``us``, ``vs`` are the bases ``distortion.basis_quadruples`` gives
-        for ``objects`` (X, Y, X', Y') and their ``images`` (FX, ...).  E' is
-        F(u) (x) F(v); E is u (x) v (v (x) u when ``flip``), passed through
-        ``image(source, target, e)`` when given.  A pair is off the route,
-        not ``unequal``, when an entry is ``None`` or M : FX (x) FY -> source
-        of E or N : FX' (x) FY' -> target of E does not hold."""
-        x, y, xp, yp = objects
-        src, lcols = self._layout(*((y, x) if flip else (x, y)))
-        tgt, lrows = self._layout(*((yp, xp) if flip else (xp, yp)))
-        rsrc, rcols = self._layout(*images[:2])
-        rtgt, rrows = self._layout(*images[2:])
-        mt, nt = m.target, n.target
-        fits = m.source is rsrc and n.source is rtgt and (
-            image is not None or mt is src and nt is tgt)
-        mrows, ncols = (self._tables(m)[1], self._tables(n)[2]) if fits else ({}, {})
+    def settle(self, source: tuple, target: tuple, us: tuple, vs: tuple,
+               unsettled: Callable, mover: Callable = None):
+        """Decide ``E o M == N o E'`` for each pair (u, v) of ``product(us[0],
+        vs[0])`` in order, building no map: yield the number of consecutive
+        pairs that hold, and ``unsettled(source, target, u, v, unequal)``
+        for any other.  M, N are the maps of the halves ``source`` of
+        (X, Y) and ``target`` of (X', Y'); ``us``, ``vs`` are the bases
+        ``distortion.basis_quadruples`` gives for Hom(X, X') and Hom(Y, Y').
+        E' is F(u) (x) F(v), from the bases' image entries; E is u (x) v
+        (v (x) u when flipped), moved by ``move`` when ``mover(X (x) Y,
+        X' (x) Y')`` gives ``(FA, FB, move)``.  A pair is off the route, not
+        ``unequal``, when an image entry is ``None`` or M : FX (x) FY ->
+        source of E or N : FX' (x) FY' -> target of E does not hold."""
+        m, _, _, flip, src, lcols, rcols, mrows, _ = source
+        n, _, _, _, tgt, lrows, rrows, _, ncols = target
+        fa, fb, move = (src, tgt, None) if mover is None else mover(src, tgt)
+        fits = (mrows is not None and ncols is not None
+                and m.target is fa and n.target is fb)
         one, mul = self.one, self.mul
         held = 0
-        for ub in us:
-            _, _, fu, eu = ub
-            for vb in vs:
-                _, _, fv, ev = vb
+        for u, fu in zip(*us):
+            for v, fv in zip(*vs):
                 on = fits and fu is not None and fv is not None
                 # E, at (d; R, C) with value a: E o M is row C of M
-                i, r1, c1, v1 = ev if flip else eu
-                j, r2, c2, v2 = eu if flip else ev
+                i, r1, c1, v1 = v if flip else u
+                j, r2, c2, v2 = u if flip else v
                 d, c0, w = lcols[i][j]
                 _, r0, h = lrows[i][j]
-                R, C, a = r0 + r1 * h + r2, c0 + c1 * w + c2, v1 if v2 is one else mul(v1, v2)
-                e = True
-                if image is not None:
-                    s, t, e = image(src, tgt, (d, R, C, a))
-                    on = on and e is not None and s is mt and t is nt
-                    if e:
-                        d, R, C, a = e
+                e = d, r0 + r1 * h + r2, c0 + c1 * w + c2, v1 if v2 is one else mul(v1, v2)
+                if on and move is not None:
+                    e = move(e)
+                    on = e is not None
                 row = col = ()
-                if on and e and d in mrows:
-                    row = mrows[d][C]
+                if on and e:
+                    d, R, C, a = e
+                    if d in mrows:
+                        row = mrows[d][C]
                 # E', at (d2; R2, C2) with value b: N o E' is column R2 of N
                 if on and fu and fv:
                     i, r1, c1, v1 = fu
@@ -974,7 +967,7 @@ class RankOne:
                 if held:
                     yield held
                     held = 0
-                yield unsettled(ub, vb, on)
+                yield unsettled(source, target, u, v, on)
         if held:
             yield held
 

@@ -10,7 +10,6 @@ echoes it and hashes the document.  Exact scalars serialize as integer or
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import combinations, product
 from math import comb
@@ -141,6 +140,7 @@ class Scenario(NamedTuple):
 
 
 def scenario_hash(scenario: Scenario) -> str:
+    import hashlib  # only the JSON report hashes, so the import waits for it
     canon = json.dumps(scenario.raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

@@ -19,11 +19,11 @@ on concrete universes rather than assuming it.
 
 Each of these morphism maps moves entries without mixing them: truncation
 keeps an entry or drops it, collapse shifts it, and a composite chains the
-two.  Their ``mor`` is an ``Entrywise`` map, which also gives the image
-of an elementary map as an entry, so ``check_laxator_naturality`` decides
-a basis pair without building ``u (x) v`` or ``F(u (x) v)``.  A functor
-given any other ``mor`` is decided from the image ``mor`` builds of the
-elementary map ``u (x) v``.
+two.  Their ``mor`` is an ``Entrywise`` map, which also moves the entry
+of an elementary map, so ``check_laxator_naturality`` decides a basis
+pair from entries and builds u, v, ``u (x) v`` and ``F(u (x) v)`` only
+for a pair it hands to the composites.  A functor given any other ``mor``
+is decided from the images ``mor`` builds of the elementary maps.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ from typing import Callable, NamedTuple
 
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
-    GradedMap, GradedObject, RankOne, TRIVIAL, associator, block_map,
-    collapse_entry, collapse_laxator, collapse_map, compose, elementary, entry,
-    identity,
+    GradedMap, GradedObject, TRIVIAL, associator, block_map,
+    collapse_laxator, collapse_map, compose, elementary, entry, identity,
     left_unitor, right_unitor, sort_universe, tensor_map, tensor_obj,
     unit_object,
 )
 from .distortion import (
-    DistortedStructure, basis_quadruples, identity_unit, symmetric_braiding,
+    DistortedStructure, identity_unit, rank_one_phase, symmetric_braiding,
 )
 from .reports import CheckBudget, CheckReport, Phase, Side, decide
 
@@ -50,16 +49,17 @@ class Entrywise:
     """A morphism map ``F`` that sends an elementary map to an elementary
     map or to zero, with the rule that does so without building a map.
 
-    ``entry(A, B, e)`` is ``(FA, FB, e')`` for the elementary map
-    ``E : A -> B`` with entry ``e`` (``exactlin.entry``; ``()`` for zero),
-    where ``e'`` is the entry of ``F(E) : FA -> FB``.  The rule belongs to
-    the map it describes: a functor given another ``mor`` has no rule.
+    ``mover(A, B)`` maps the objects once: it is ``(FA, FB, move)``, where
+    ``move(e)`` is the entry of ``F(E) : FA -> FB`` for the elementary map
+    ``E : A -> B`` with entry ``e`` (``exactlin.entry``; ``()`` for zero).
+    The rule belongs to the map it describes: a functor given another
+    ``mor`` has none.
     """
 
-    __slots__ = ("_mor", "entry")
+    __slots__ = ("_mor", "mover")
 
-    def __init__(self, mor: Callable[[GradedMap], GradedMap], entry: Callable):
-        self._mor, self.entry = mor, entry
+    def __init__(self, mor: Callable[[GradedMap], GradedMap], mover: Callable):
+        self._mor, self.mover = mor, mover
 
     def __call__(self, f: GradedMap) -> GradedMap:
         return self._mor(f)
@@ -88,7 +88,7 @@ def identity_functor(ds: DistortedStructure) -> LaxFunctor:
         source=ds,
         target=ds,
         obj=lambda x: x,
-        mor=Entrywise(lambda f: f, lambda a, b, e: (a, b, e)),
+        mor=Entrywise(lambda f: f, lambda a, b: (a, b, lambda e: e)),
         mu=lambda x, y: identity(field, tensor_obj(x, y)),
         mu0=identity(field, ds.unit),
         info=("identity",),
@@ -122,9 +122,9 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
             return f
         return block_map(field, src, tgt, {d: m for d, m in f.blocks if d <= bound})
 
-    def rule(a: GradedObject, b: GradedObject, e) -> tuple:
+    def mover(a: GradedObject, b: GradedObject) -> tuple:
         # a kept degree keeps its positions
-        return obj(a), obj(b), e if e and e[0] <= bound else ()
+        return obj(a), obj(b), lambda e: e if e and e[0] <= bound else ()
 
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
         src = tensor_obj(obj(x), obj(y))
@@ -136,7 +136,7 @@ def truncation_functor(ds: DistortedStructure, bound: int) -> LaxFunctor:
         source=ds,
         target=ds,
         obj=obj,
-        mor=Entrywise(mor, rule),
+        mor=Entrywise(mor, mover),
         mu=mu,
         mu0=identity(field, ds.unit),
         info=("truncation", bound),
@@ -161,8 +161,11 @@ def collapse_functor(ds: DistortedStructure) -> LaxFunctor:
     def mor(f: GradedMap) -> GradedMap:
         return collapse_map(f, obj(f.source), obj(f.target))
 
-    def rule(a: GradedObject, b: GradedObject, e) -> tuple:
-        return obj(a), obj(b), collapse_entry(a, b, e)
+    def mover(a: GradedObject, b: GradedObject) -> tuple:
+        # degree d's block starts at row b.starts[d] and column a.starts[d]
+        rows, cols = b.starts, a.starts
+        return obj(a), obj(b), lambda e: e and (
+            0, rows[e[0]] + e[1], cols[e[0]] + e[2], e[3])
 
     def mu(x: GradedObject, y: GradedObject) -> GradedMap:
         return collapse_laxator(field, x, y, tensor_obj(obj(x), obj(y)),
@@ -179,7 +182,7 @@ def collapse_functor(ds: DistortedStructure) -> LaxFunctor:
         source=ds,
         target=target,
         obj=obj,
-        mor=Entrywise(mor, rule),
+        mor=Entrywise(mor, mover),
         mu=mu,
         mu0=identity(field, target.unit),
         info=("collapse",),
@@ -205,9 +208,11 @@ def compose_lax(g: LaxFunctor, f: LaxFunctor) -> LaxFunctor:
         return g.mor(f.mor(m))
 
     if isinstance(g.mor, Entrywise) and isinstance(f.mor, Entrywise):
-        def rule(a, b, e):
-            return g.mor.entry(*f.mor.entry(a, b, e))
-        mor = Entrywise(mor, rule)
+        def mover(a, b):
+            fa, fb, fmove = f.mor.mover(a, b)
+            ga, gb, gmove = g.mor.mover(fa, fb)
+            return ga, gb, lambda e: gmove(fmove(e))
+        mor = Entrywise(mor, mover)
 
     return LaxFunctor(
         name=f"{g.name}*{f.name}",
@@ -225,24 +230,11 @@ def compose_lax(g: LaxFunctor, f: LaxFunctor) -> LaxFunctor:
 # checkers
 
 
-def _laxators(func: LaxFunctor) -> Callable:
-    """``func.mu``, each laxator built once per call of ``_laxators``: a
-    table local to one check, so no functor keeps it."""
-    built: dict = {}
-
-    def mu(x, y):
-        got = built.get((x, y))
-        if got is None:
-            got = built[(x, y)] = func.mu(x, y)
-        return got
-    return mu
-
-
 def check_lax_axioms(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """Lax pentagon over universe triples and both unit triangles."""
     field = func.target.field
     src_unit = func.source.unit
-    mu = _laxators(func)
+    mu = cache(func.mu)  # each laxator built once per check, kept by no functor
 
     def unit_sides(x):
         fx = func.obj(x)
@@ -284,7 +276,7 @@ def check_SLambda(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
 
 def check_Ssigma(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
     """F(sigma_{X,Y}) o mu(X,Y) = mu(Y,X) o sigma'_{FX,FY}."""
-    mu = _laxators(func)
+    mu = cache(func.mu)  # each laxator built once per check, kept by no functor
 
     def pairs():
         for x, y in product(func.source.universe, repeat=2):
@@ -297,16 +289,21 @@ def check_Ssigma(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
 
 
 def _entry_rule(func: LaxFunctor) -> Callable:
-    """``func.mor``'s rule (``Entrywise``); a morphism map with none gets one
-    that builds the elementary map and reads the entry of its image."""
+    """``func.mor``'s mover (``Entrywise``); a morphism map with none gets
+    one whose ``move`` builds the elementary map and reads the entry of its
+    image: ``None`` unless that image is a map ``obj(A) -> obj(B)``."""
     if isinstance(func.mor, Entrywise):
-        return func.mor.entry
-    field = func.source.field
+        return func.mor.mover
+    field, mor, obj = func.source.field, func.mor, func.obj
 
-    def rule(a: GradedObject, b: GradedObject, e) -> tuple:
-        fe = func.mor(elementary(field, a, b, e))
-        return fe.source, fe.target, entry(fe)
-    return rule
+    def mover(a: GradedObject, b: GradedObject) -> tuple:
+        fa, fb = obj(a), obj(b)
+
+        def move(e):
+            fe = mor(elementary(field, a, b, e))
+            return entry(fe) if fe.source is fa and fe.target is fb else None
+        return fa, fb, move
+    return mover
 
 
 def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
@@ -314,36 +311,26 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
     pair of elementary maps (u, v).
 
     Both sides are bilinear in (u, v) because ``F.mor`` is linear, so the
-    basis pairs decide the square for all maps; ``F(u)`` of each basis map,
-    its entry, and each laxator are built once per check.  The entry of
-    ``F(u (x) v)`` comes from ``_entry_rule`` on the entry of u (x) v.  One
-    ``exactlin.RankOne.settle`` call per object quadruple decides every
-    pair whose images are elementary or zero and whose maps have the
-    objects the square needs, from one row of mu(X,Y) and one column of
-    mu(X',Y'); a pair off that route, and a pair it finds unequal (for the
-    witness), takes the two composites.
+    basis pairs decide the square for all maps.  The bases are entry tables
+    with the entries of their images, from ``_entry_rule``'s mover, and each
+    laxator is built once per check.  One ``exactlin.RankOne.settle`` call
+    per object quadruple decides every pair whose images are elementary or
+    zero and whose maps have the objects the square needs, from one row of
+    mu(X,Y) and one column of mu(X',Y'); u, v and the two composites are
+    built only for a pair off that route, or one it finds unequal.
     """
     field = func.source.field
-    mu = _laxators(func)
-    ranks = RankOne(field)
-    rule = _entry_rule(func)
 
-    def sides(objects, us, vs):
-        images = tuple(map(func.obj, objects))
-        mu_xy, mu_p = mu(*objects[:2]), mu(*objects[2:])
+    def composites(s, t, eu, ev, unequal):
+        (mu_xy, (x, y), factors), (mu_p, (xp, yp)) = s[:3], t[:2]
+        u, v = elementary(field, x, xp, eu), elementary(field, y, yp, ev)
+        return Side(compose(mu_p, tensor_map(func.mor(u), func.mor(v))),
+                    compose(func.mor(tensor_map(u, v)), mu_xy),
+                    factors, equal=False if unequal else None)
 
-        def composites(ub, vb, unequal):
-            (u, fu, *_), (v, fv, *_) = ub, vb
-            return Side(compose(mu_p, tensor_map(fu, fv)),
-                        compose(func.mor(tensor_map(u, v)), mu_xy),
-                        images[:2], equal=False if unequal else None)
-
-        return ranks.settle(mu_xy, mu_p, objects, images, us, vs, composites,
-                            image=rule)
-
-    return decide("laxator_naturality", Phase(basis_quadruples(
-        field, func.source.universe, sides, func.mor, func.obj),
-        budget.max_object_tuples, sampled=True))
+    return decide("laxator_naturality", rank_one_phase(
+        field, func.source.universe, func.mu, composites, budget.max_object_tuples,
+        mover=_entry_rule(func), obj=func.obj))
 
 
 def check_triple_strictness(h: LaxFunctor, g: LaxFunctor, f: LaxFunctor,

@@ -27,7 +27,7 @@ from distmon import (
     truncation_functor, twist, unit_object,
 )
 from distmon.distortion import StructuralFamily, Tabulated
-from distmon.exactlin import associator, flip_map, identity
+from distmon.exactlin import associator, flip_map, identity, sort_universe
 from distmon.harness import CHECKS
 from distmon.reports import CheckBudget
 
@@ -47,17 +47,17 @@ def doubled(m):
     })
 
 
-def nat_ds(lam=None, sigma=None):
-    return DistortedStructure(Q, NAT, NAT_U, sigma or symmetric_braiding(),
+def nat_ds(lam=None, sigma=None, universe=NAT_U):
+    return DistortedStructure(Q, NAT, universe, sigma or symmetric_braiding(),
                               lam or identity_unit())
 
 
-def parity_ds(sigma, lam=None):
-    return DistortedStructure(Q, PARITY, PARITY_U, sigma, lam or identity_unit())
+def parity_ds(sigma, lam=None, universe=PARITY_U):
+    return DistortedStructure(Q, PARITY, universe, sigma, lam or identity_unit())
 
 
-def _bad_mu_functor():
-    t1 = truncation_functor(nat_ds(), 1)
+def _bad_mu_functor(universe=NAT_U):
+    t1 = truncation_functor(nat_ds(universe=universe), 1)
     target_pair = (obj(NAT, {0: 1, 1: 1}), obj(NAT, {1: 1}))
 
     def bad_mu(x, y, _mu=t1.mu):
@@ -82,8 +82,8 @@ def _ssigma():
     return check_Ssigma(collapse_functor(parity_ds(koszul_braiding())), BUDGET)
 
 
-def _laxator_naturality():
-    return check_laxator_naturality(_bad_mu_functor(), BUDGET)
+def _laxator_naturality(universe=NAT_U):
+    return check_laxator_naturality(_bad_mu_functor(universe), BUDGET)
 
 
 def _slambda_collapse():
@@ -150,11 +150,11 @@ def _tabulated_sigma(sigma):
     return tabulate_binary(sigma, Q, list(product(_closure(PARITY_U), repeat=2)))
 
 
-def _d1_tabulated():
+def _d1_tabulated(universe=PARITY_U):
     fam = _tabulated_sigma(symmetric_braiding())
     x = PARITY_U[1]
     fam.entries[(x, x)] = doubled(fam.entries[(x, x)])
-    return check_D1(parity_ds(fam), BUDGET)
+    return check_D1(parity_ds(fam, universe=universe), BUDGET)
 
 
 def _d2_tabulated_unit():
@@ -194,12 +194,12 @@ def _e0_tabulated():
                                   PARITY_U, BUDGET)
 
 
-def _e0_tabulated_naturality():
+def _e0_tabulated_naturality(universe=PARITY_U):
     # idempotent everywhere, but the (ODD, ODD) entry is the identity
     entries = _projector_entries()
     entries[(ODD, ODD)] = identity(Q, tensor_obj(ODD, ODD))
     return check_idempotent_axiom(Q, Tabulated(entries), "E0",
-                                  PARITY_U, BUDGET)
+                                  universe, BUDGET)
 
 
 def _e1_tabulated():
@@ -447,6 +447,24 @@ EXPECTED = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fail_path_report_is_pinned(case):
     assert summary(CASES[case]()) == EXPECTED[case]
+
+
+# the naturality cases, whose witnesses come from composites built only for
+# the pair the rank-one route hands over
+REPLAYED = {
+    "D1-tabulated": _d1_tabulated,
+    "E0-tabulated-naturality": _e0_tabulated_naturality,
+    "laxator_naturality-bad-mu": _laxator_naturality,
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAYED))
+def test_naturality_witness_replays_on_its_objects(case):
+    # a universe made only of the witness's objects fails again, with the
+    # same witness
+    report = REPLAYED[case]()
+    replay = REPLAYED[case](sort_universe(report.witness.objects))
+    assert replay.verdict == "fail" and replay.witness == report.witness
 
 
 # Check ids that no case above fails, each with the reason

@@ -2,17 +2,18 @@
 
 D1, E0's naturality half and ``laxator_naturality`` decide every pair of
 elementary basis maps of an object quadruple in one
-``exactlin.RankOne.settle`` call, build the composites only for a pair it
-cannot hold, and count each run of quadruples with a zero Hom space in one
-step.  These tests check, on every elementary pair of each universe, that
+``exactlin.RankOne.settle`` call, from the entries of the basis maps and of
+their images, build the maps and composites only for a pair it cannot
+hold, and count each run of quadruples with a zero Hom space in one step.
+These tests check, on every elementary pair of each universe, that
 the kernel's verdict is ``first_difference``'s on the composites, and that
 each check's whole report (verdict, tuples, maps and witness) equals the
 one a loop that walks every quadruple and always builds the composites
 gives, also under caps that end inside a run of vacuous quadruples, at the
 first quadruple with a pair, and at a failing quadruple.  The functors'
-entry rules (``laxfun.Entrywise``, or the one ``laxfun._entry_rule`` makes
-for another ``mor``) are checked against the maps ``mor`` builds, on every
-elementary map.
+entry movers (``laxfun.Entrywise``, or the one ``laxfun._entry_rule``
+makes for another ``mor``) are checked against the maps ``mor`` builds, on
+every elementary map, and a square that holds builds no basis map.
 """
 
 from collections import Counter
@@ -33,7 +34,7 @@ from distmon.distortion import (
     StructuralFamily, Tabulated, basis_quadruples, binaturality_phase,
 )
 from distmon.exactlin import (
-    RankOne, compose, elementary_maps, entry, flip_map, identity,
+    RankOne, compose, elementary, elementary_maps, entry, flip_map, identity,
     GradedObject, block_map, sort_universe, summand_scaling, tensor_map,
 )
 from distmon.errors import ObjectMismatch
@@ -155,11 +156,11 @@ def _composites_phase(field, family_at, universe, flips, cap=BUDGET.max_object_t
     return Phase(instances(), cap, sampled=True)
 
 
-def _with_pairs(field, universe, image=None, obj=None):
+def _with_pairs(field, universe, mover=None, obj=None):
     """The quadruples with a pair that ``basis_quadruples`` yields, each as
     ``(k, objects, us, vs)`` with k its position in canonical order."""
     k = 0
-    for item in basis_quadruples(field, universe, lambda *q: q, image, obj):
+    for item in basis_quadruples(field, universe, lambda *q: q, mover, obj):
         if item.__class__ is int:
             k += item
         else:
@@ -167,13 +168,14 @@ def _with_pairs(field, universe, image=None, obj=None):
             k += 1
 
 
-def _settled(ranks, m, n, objects, images, us, vs, flip=False, image=None):
-    """The kernel's verdict on each pair of ``product(us, vs)``, in order:
-    "holds", "unequal", or "off" (handed over without a verdict)."""
+def _settled(ranks, m, n, objects, images, us, vs, flip=False, mover=None):
+    """The kernel's verdict on each pair of ``product(us[0], vs[0])``, in
+    order: "holds", "unequal", or "off" (handed over without a verdict)."""
     out = []
-    for item in ranks.settle(m, n, objects, images, us, vs,
-                             lambda u, v, unequal: "unequal" if unequal else "off",
-                             flip, image):
+    for item in ranks.settle(ranks.half(m, objects[:2], images[:2], flip),
+                             ranks.half(n, objects[2:], images[2:], flip), us, vs,
+                             lambda s, t, u, v, unequal: "unequal" if unequal else "off",
+                             mover):
         out += ["holds"] * item if item.__class__ is int else [item]
     return out
 
@@ -200,8 +202,12 @@ def test_basis_quadruples_count_each_vacuous_run_whole():
         want = [(k, objects, [u for u, _ in fs], [g for g, _ in gs])
                 for k, (objects, fs, gs) in enumerate(_quadruples(field, universe))
                 if fs and gs]
-        got = [(k, objects, [u for u, *_ in us], [v for v, *_ in vs])
-               for k, objects, us, vs in _with_pairs(field, universe)]
+        got = []
+        for k, objects, us, vs in _with_pairs(field, universe):
+            x, y, xp, yp = objects
+            assert us[1] is us[0] and vs[1] is vs[0]  # the identity's images
+            got.append((k, objects, [elementary(field, x, xp, e) for e in us[0]],
+                        [elementary(field, y, yp, e) for e in vs[0]]))
         assert got == want
         items = list(basis_quadruples(field, universe, lambda *q: q))
         kinds = [item.__class__ is int for item in items]
@@ -222,7 +228,7 @@ def test_kernel_matches_first_difference_on_every_elementary_pair(name):
         x, y, xp, yp = objects
         m_src, m_tgt = family.at(field, x, y), family.at(field, xp, yp)
         want = []
-        for (f, *_), (g, *_) in product(fs, gs):
+        for f, g in product(elementary_maps(field, x, xp), elementary_maps(field, y, yp)):
             fg = tensor_map(f, g)
             gf = tensor_map(g, f) if flips else fg
             same = first_difference(compose(gf, m_src), compose(m_tgt, fg)) is None
@@ -337,8 +343,9 @@ def _entrywise_functors(field, universe):
 
 @pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
 def test_entry_rules_match_the_maps_on_every_elementary_map(universe):
-    # the builtin functors' rules, and the rule a functor with a replaced
-    # (plain) morphism map gets from the maps it builds
+    # the builtin functors' movers, and the mover a functor with a replaced
+    # (plain) morphism map gets from the maps it builds: the objects are
+    # mapped once per pair, and an image that leaves them has no entry
     field, objs = LAX_UNIVERSES[universe]
     objects = sort_universe([*objs, *(tensor_obj(x, y)
                                       for x, y in product(objs, repeat=2))])
@@ -351,10 +358,13 @@ def test_entry_rules_match_the_maps_on_every_elementary_map(universe):
     funcs.update({f"plain {name}": func._replace(mor=lambda f, _mor=func.mor: _mor(f))
                   for name, func in list(funcs.items())})
     for name, func in funcs.items():
-        rule = _entry_rule(func)
+        mover = _entry_rule(func)
         for a, b, e in maps:
+            fa, fb, move = mover(a, b)
+            assert (fa, fb) == (func.obj(a), func.obj(b)), name
             fe = func.mor(e)
-            assert rule(a, b, entry(e)) == (fe.source, fe.target, entry(fe)), name
+            assert move(entry(e)) == (entry(fe) if (fe.source, fe.target) == (fa, fb)
+                                      else None), name
 
 
 @pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
@@ -363,11 +373,14 @@ def test_laxator_kernel_matches_first_difference_on_every_elementary_pair(univer
     for name, func in _functors(field, objs).items():
         ranks = RankOne(field)
         verdicts = Counter()
-        for _, objects, us, vs in _with_pairs(field, objs, func.mor, func.obj):
+        mover = _entry_rule(func)
+        for _, objects, us, vs in _with_pairs(field, objs, mover, func.obj):
             x, y, xp, yp = objects
             mu_xy, mu_p = func.mu(x, y), func.mu(xp, yp)
             want = []
-            for (u, fu, *_), (v, fv, *_) in product(us, vs):
+            for u, v in product(elementary_maps(field, x, xp),
+                                elementary_maps(field, y, yp)):
+                fu, fv = func.mor(u), func.mor(v)
                 same = first_difference(compose(mu_p, tensor_map(fu, fv)),
                                         compose(func.mor(tensor_map(u, v)),
                                                 mu_xy)) is None
@@ -375,7 +388,7 @@ def test_laxator_kernel_matches_first_difference_on_every_elementary_pair(univer
                 verdicts[same] += 1
             images = tuple(map(func.obj, objects))
             assert _settled(ranks, mu_xy, mu_p, objects, images, us, vs,
-                            image=_entry_rule(func)) == want, name
+                            mover=mover) == want, name
         assert verdicts[True] > 0, name
         assert (verdicts[False] > 0) == name.endswith("bad-mu"), name
 
@@ -459,15 +472,15 @@ def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
     calls, pairs, unequal, marked = [], [], [], []
     kernel, make_side = RankOne.settle, laxfun.Side
 
-    def settle(self, m, n, objects, images, us, vs, unsettled, *args, **kw):
+    def settle(self, source, target, us, vs, unsettled, *args, **kw):
+        objects = source[1] + target[1]  # each half names its object pair
         calls.append(objects)
 
-        def hand_over(u, v, is_unequal):
+        def hand_over(s, t, u, v, is_unequal):
             unequal.extend([(objects, u, v)] if is_unequal else ())
-            return unsettled(u, v, is_unequal)
+            return unsettled(s, t, u, v, is_unequal)
 
-        for item in kernel(self, m, n, objects, images, us, vs, hand_over,
-                           *args, **kw):
+        for item in kernel(self, source, target, us, vs, hand_over, *args, **kw):
             pairs.append(item if item.__class__ is int else 1)
             yield item
 
@@ -484,12 +497,61 @@ def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
     assert unequal and len(unequal) == len(marked)
 
 
+def _count_elementary(monkeypatch):
+    """The (source, target) of every elementary map built from here on,
+    through any ``distmon`` module that binds ``elementary``."""
+    import sys
+    import distmon.exactlin as exactlin
+    built, real = [], exactlin.elementary
+
+    def counted(field, source, target, e):
+        built.append((source, target))
+        return real(field, source, target, e)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "distmon"
+               and getattr(m, "elementary", None) is real]
+    assert {m.__name__ for m in modules} >= {"distmon.exactlin", "distmon.distortion",
+                                             "distmon.laxfun"}
+    for module in modules:
+        monkeypatch.setattr(module, "elementary", counted)
+    return built
+
+
+def test_a_square_that_holds_builds_no_basis_map(monkeypatch):
+    # naturality-fp's checks hold on every pair from entries alone; the
+    # parent of the entry tables built 27 basis maps per check
+    funcs = _functors(FP, FP_U)
+    built = _count_elementary(monkeypatch)
+    reports = [check_D1(_nat_ds(FP, FP_U), BUDGET)] + [
+        check_laxator_naturality(funcs[name], BUDGET) for name in ("tau1", "U", "U*tau1")]
+    assert [(r.verdict, r.coverage.sampled_maps) for r in reports] == [("pass", 729)] * 4
+    assert built == []
+
+
+def test_only_the_pairs_handed_over_build_maps(monkeypatch):
+    # tau1 with doubled laxators: the kernel hands over the unequal pair,
+    # whose composites build u and v, and nothing else builds a map
+    func = _functors(Q, NAT_U)["tau1-bad-mu"]
+    handed, kernel = [], RankOne.settle
+
+    def settle(self, source, target, us, vs, unsettled, *args, **kw):
+        def hand_over(s, t, u, v, unequal):
+            (x, y), (xp, yp) = s[1], t[1]  # each half names its object pair
+            handed.extend([(x, xp), (y, yp)])
+            return unsettled(s, t, u, v, unequal)
+        return kernel(self, source, target, us, vs, hand_over, *args, **kw)
+
+    monkeypatch.setattr(RankOne, "settle", settle)
+    built = _count_elementary(monkeypatch)
+    assert check_laxator_naturality(func, BUDGET).verdict == "fail"
+    assert handed and built == handed
+
+
 def test_a_kernel_that_disagrees_with_the_composites_is_an_internal_error(
         monkeypatch):
-    def unequal_everywhere(self, m, n, objects, images, us, vs, unsettled,
-                           *args, **kw):
-        for u, v in product(us, vs):
-            yield unsettled(u, v, True)
+    def unequal_everywhere(self, source, target, us, vs, unsettled, *args, **kw):
+        for u, v in product(us[0], vs[0]):
+            yield unsettled(source, target, u, v, True)
 
     monkeypatch.setattr(RankOne, "settle", unequal_everywhere)
     ds = _nat_ds(Q, NAT_U)
@@ -505,21 +567,21 @@ def test_entries_in_different_degrees_differ():
     # makes both pairs unequal, and the identity rule holds both
     x, unit = obj(NAT, {0: 1, 1: 1}), obj(NAT, {0: 1})
     m = identity(Q, x)
-    us = [(u, u, entry(u), entry(u)) for u in elementary_maps(Q, x, x)]
-    vs = [(v, v, entry(v), entry(v)) for v in elementary_maps(Q, unit, unit)]
+    e, e2 = elementary_maps(Q, x, x)
+    us = [entry(e), entry(e2)]
+    vs = [entry(v) for v in elementary_maps(Q, unit, unit)]
+    us, vs = (us, us), (vs, vs)  # entry tables, with the identity's images
     quadruple = (x, unit, x, unit)
-    e, e2 = (u for u, *_ in us)
     assert entry(e)[0] == 0 and entry(e2)[0] == 1
     assert first_difference(compose(e, m), compose(m, e2)) is not None
 
-    def moved(a, b, e):
-        d, r, c, v = e
-        return a, b, (1 - d, r, c, v)
+    def moved(a, b):
+        return a, b, lambda e: (1 - e[0], *e[1:])
 
     assert _settled(RankOne(Q), m, m, quadruple, quadruple, us, vs,
-                    image=moved) == ["unequal", "unequal"]
+                    mover=moved) == ["unequal", "unequal"]
     assert _settled(RankOne(Q), m, m, quadruple, quadruple, us, vs,
-                    image=lambda a, b, e: (a, b, e)) == ["holds", "holds"]
+                    mover=lambda a, b: (a, b, lambda e: e)) == ["holds", "holds"]
 
 
 def _sigma_with_target(dims):

@@ -264,6 +264,26 @@ PINNED_SCENARIOS = [
         "seed": 0},
      ("fe8a3f14c94b82becba6de34465461f53f8aefd591c05ebfd053a3739b4f6ecc",
       "47af48102ef72b321c0346602a79a139cd1cb6a364a1f19805beddab7bc93b21")),
+    # naturality over a prime field, through both an entry rule that drops
+    # entries (tau1) and one that moves them (U)
+    ("naturality-fp", {
+        "field": {"prime": 2147483647}, "grading": "nat",
+        "universe": {"max_degree": 2, "max_dim": 2, "max_support": 1},
+        "sigma": {"kind": "symmetric"}, "lambda": {"kind": "character", "t": "3"},
+        "functors": [{"name": "tau1", "kind": "truncation", "bound": 1},
+                     {"name": "U", "kind": "collapse"}],
+        "checks": ["D1", "laxator_naturality"], "samples": 3, "seed": 0},
+     ("4909306368ed11cba2a2c33afd5e28f271c9f36e7fceff5f68a503d70c96a57d",
+      "98b1e9bdbc99c22f0a3e211142bde736f4454e479d2f718fdc32834b68949c21")),
+    # the dense nat universe at k=3: no quadruple has a zero Hom space
+    ("dense-nat-3", {
+        "field": "rational", "grading": "nat",
+        "universe": [{"0": 3, "1": 3}, {"0": 3, "1": 2}, {"0": 2, "1": 3}],
+        "sigma": {"kind": "symmetric"}, "lambda": {"kind": "identity"},
+        "functors": [{"name": "U", "kind": "collapse"}],
+        "checks": ["D1", "laxator_naturality"], "seed": 0},
+     ("865623332c084b17929272ab8bd56991926d707e44780268eb52491873dcfa83",
+      "749b456d314ef08426f5e422664d6a2933f7e51e17d2872dcce97a3dbaae28e3")),
 ]
 
 
