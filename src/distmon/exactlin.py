@@ -1005,7 +1005,14 @@ def check_base(field, universe: Sequence[GradedObject], budget: CheckBudget,
                assoc: Callable = None) -> CheckReport:
     """Pentagon (quadruples, capped by budget) and triangle (all pairs).
 
-    ``assoc`` is a test hook; the default is the canonical associator.
+    The pentagon walks (w, x, y, z) in canonical order and builds
+    ``assoc(w, x, y)`` and the tensors of each prefix once.  A whiskering
+    ``id_W (x) a`` or ``a (x) id_Z`` of an associator that is an interned
+    identity is not built, since ``tensor_map`` and ``compose`` would hand
+    back the other map unchanged.  A run of quadruples whose two sides come
+    out as one interned map holds without a scan and goes to ``decide`` as
+    its length, flushed after each innermost loop.  ``assoc`` is a test
+    hook; the default is the canonical associator.
     """
     if not universe:
         raise ObjectMismatch("check_base needs a nonempty universe")
@@ -1021,13 +1028,33 @@ def check_base(field, universe: Sequence[GradedObject], budget: CheckBudget,
             yield (x, y), [Side(lhs, rhs)]
 
     def pentagons():
-        for w, x, y, z in product(objs, repeat=4):
-            p1 = compose(assoc(field, w, x, tensor_obj(y, z)),
-                         assoc(field, tensor_obj(w, x), y, z))
-            p2 = compose(tensor_map(identity(field, w), assoc(field, x, y, z)),
-                         compose(assoc(field, w, tensor_obj(x, y), z),
-                                 tensor_map(assoc(field, w, x, y), identity(field, z))))
-            yield (w, x, y, z), [Side(p1, p2)]
+        for w in objs:
+            id_w = identity(field, w)
+            for x in objs:
+                wx = tensor_obj(w, x)
+                for y in objs:
+                    xy = tensor_obj(x, y)
+                    a = assoc(field, w, x, y)
+                    a_id = _is_identity(a)
+                    held = 0
+                    for z in objs:
+                        p1 = compose(assoc(field, w, x, tensor_obj(y, z)),
+                                     assoc(field, wx, y, z))
+                        p2 = assoc(field, w, xy, z)
+                        if not a_id:
+                            p2 = compose(p2, tensor_map(a, identity(field, z)))
+                        b = assoc(field, x, y, z)
+                        if not _is_identity(b):
+                            p2 = compose(tensor_map(id_w, b), p2)
+                        if p1 is p2:
+                            held += 1
+                            continue
+                        if held:
+                            yield held
+                            held = 0
+                        yield (w, x, y, z), [Side(p1, p2)]
+                    if held:
+                        yield held
 
     return decide("base", Phase(triangles(), note="triangle"),
                   Phase(pentagons(), budget.max_object_tuples, "pentagon"),

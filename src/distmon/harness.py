@@ -63,7 +63,7 @@ def generate_universe(monoid, max_degree: int, max_dim: int,
     object always included."""
     degrees = range(_degree_count(monoid, max_degree))
     objs = {unit_object(monoid)}
-    for size in range(1, max_support + 1):
+    for size in range(1, min(max_support, len(degrees)) + 1):
         for support in combinations(degrees, size):
             for dims in product(range(1, max_dim + 1), repeat=size):
                 objs.add(GradedObject.of(monoid, dict(zip(support, dims))))

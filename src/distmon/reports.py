@@ -133,9 +133,11 @@ class Side(NamedTuple):
 class Phase(NamedTuple):
     """One quantifier: at most ``cap`` of its lazy ``(objects, sides)``
     instances are taken; ``note`` labels a failure in the phase.  An int k
-    among the instances stands for k instances with no side, and an int k
-    among an instance's sides for k sides that hold.  A ``sampled`` phase
-    ranges over pairs of basis maps: its sides count in ``sampled_maps``."""
+    among the instances stands for a run of k instances that hold without a
+    scan: vacuous ones, with no side, or ones whose two sides are one
+    interned map.  An int k among an instance's sides stands for k sides
+    that hold.  A ``sampled`` phase ranges over pairs of basis maps: its
+    sides count in ``sampled_maps``."""
 
     instances: Iterable
     cap: Optional[int] = None
@@ -150,9 +152,13 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
     The cap is tested before each instance is pulled, and an instance's
     sides are consumed before the next one, so they may be built lazily
     from the generator's state.  A side whose two maps are one object holds
-    without a scan.  An independent route must agree: ``agrees(*objects)``
-    with every instance, and a side's ``equal`` with its maps.  A pass note
-    is ``note`` formatted with the per-phase counts.
+    without a scan, and so does each instance of a run (an int among the
+    instances: vacuous instances, or instances whose two sides are one
+    interned map), which counts whole up to the cap.  An independent route
+    must agree: ``agrees(*objects)`` with every instance, so a run, which
+    has no objects, is an internal error when ``agrees`` is given; and a
+    side's ``equal`` with its maps.  A pass note is ``note`` formatted with
+    the per-phase counts.
     """
     maps = 0
     counts = []
@@ -164,7 +170,10 @@ def decide(axiom: str, *phases: Phase, note: Optional[str] = None,
             item = next(instances, None)
             if item is None:
                 break
-            if item.__class__ is int:  # a run of instances with no side
+            if item.__class__ is int:  # a run of instances that hold unscanned
+                if agrees is not None:
+                    raise AssertionError(
+                        f"internal: a run of instances skips the scalar route for {axiom}")
                 count = item + count if cap is None else min(item + count, cap)
                 continue
             count += 1

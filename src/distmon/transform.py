@@ -191,19 +191,23 @@ def check_interchange(eta: MonNatTrans, theta: MonNatTrans, phi: MonNatTrans,
 
 
 def check_horizontal_strictness(chains: Sequence[Sequence[MonNatTrans]],
-                                budget: CheckBudget) -> CheckReport:
+                                budget: CheckBudget,
+                                horizontal_fn=None) -> CheckReport:
     """Associativity of * on 3-cell chains plus both unit laws per cell.
 
     Each chain lists composable 2-cells innermost first; non-composable
     chains raise StructureMismatch rather than producing a fail verdict.
+    ``horizontal_fn`` is a test hook; the default is the real composition.
     """
+    horizontal_fn = horizontal_fn or horizontal
+
     def associativity():
         for chain in chains:
             if len(chain) != 3:
                 raise StructureMismatch("horizontal strictness chains have length 3")
             a, b, c = chain
-            yield from _componentwise(horizontal(c, horizontal(b, a)),
-                                      horizontal(horizontal(c, b), a),
+            yield from _componentwise(horizontal_fn(c, horizontal_fn(b, a)),
+                                      horizontal_fn(horizontal_fn(c, b), a),
                                       a.source_functor.source.universe)
 
     def unit_laws():
@@ -216,9 +220,9 @@ def check_horizontal_strictness(chains: Sequence[Sequence[MonNatTrans]],
             func = cell.source_functor
             universe = func.source.universe
             id_src = identity_transformation(identity_functor(func.source))
-            yield from _componentwise(horizontal(cell, id_src), cell, universe)
+            yield from _componentwise(horizontal_fn(cell, id_src), cell, universe)
             id_tgt = identity_transformation(identity_functor(func.target))
-            yield from _componentwise(horizontal(id_tgt, cell), cell, universe)
+            yield from _componentwise(horizontal_fn(id_tgt, cell), cell, universe)
 
     return decide("horizontal_strictness",
                   Phase(associativity(), note="associativity"),

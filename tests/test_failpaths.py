@@ -16,12 +16,13 @@ import pytest
 
 from distmon import (
     DistortedStructure, NAT, PARITY, character_family, check_base, check_D1,
-    check_D2, check_D3, check_D4, check_idempotent_axiom, check_interchange,
+    check_D2, check_D3, check_D4, check_horizontal_strictness,
+    check_idempotent_axiom, check_interchange,
     check_lax_axioms, check_laxator_naturality, check_monoidal,
     check_SLambda, check_Ssigma, check_triple_strictness, collapse_functor,
     check_lambda_conjugation, check_lambda_sigma_commute, compose_lax,
     generate_universe,
-    graded_character, graded_map, identity_functor, identity_unit,
+    graded_character, graded_map, horizontal, identity_functor, identity_unit,
     koszul_braiding, parity_projector, projection_transformation,
     scalar_transformation, symmetric_braiding, tabulate_binary, tensor_obj,
     truncation_functor, twist, unit_object,
@@ -120,8 +121,8 @@ def _monoidal_scalar():
     return check_monoidal(scalar_transformation(idf, Q.parse("2")), BUDGET)
 
 
-def _projection_stack():
-    ds = nat_ds()
+def _projection_stack(universe=NAT_U):
+    ds = nat_ds(universe=universe)
     return (truncation_functor(ds, 1), truncation_functor(ds, 2),
             truncation_functor(ds, 3))
 
@@ -139,6 +140,26 @@ def _interchange():
     phi = _corrupt_at(projection_transformation(t2, t1), obj(NAT, {1: 1}))
     psi = projection_transformation(t1, t1)
     return check_interchange(eta, theta, phi, psi, BUDGET)
+
+
+def _horizontal_strictness(universe=NAT_U):
+    """A horizontal composition that doubles a composite's component at
+    {1:1} when its outer cell is itself a composite, so that only the
+    bracketing (c * b) * a of the chain [a, b, c] is corrupted."""
+    t1, t2, t3 = _projection_stack(universe)
+    made = []
+
+    def corrupting_horizontal(phi, theta):
+        out = horizontal(phi, theta)
+        if any(phi is m for m in made):
+            out = _corrupt_at(out, obj(NAT, {1: 1}))
+        made.append(out)
+        return out
+
+    chain = [projection_transformation(t3, t2), projection_transformation(t2, t1),
+             projection_transformation(t1, t1)]
+    return check_horizontal_strictness([chain], BUDGET,
+                                       horizontal_fn=corrupting_horizontal)
 
 
 def _closure(universe):
@@ -309,6 +330,7 @@ CASES = {
     "monoidal-scalar": _monoidal_scalar,
     "monoidal-projection": _monoidal_projection,
     "interchange-projection": _interchange,
+    "horizontal_strictness-composite": _horizontal_strictness,
     "D1-tabulated": _d1_tabulated,
     "D2-tabulated-unit": _d2_tabulated_unit,
     "D3-tabulated-twist": lambda: _d3(_tabulated_sigma(
@@ -417,6 +439,8 @@ EXPECTED = {
         (("{1:1}", "{0:1, 1:1}", "{1:1}", "{1:1}"), (4,), 4, 0, 0, "1", "2")),
     "base-max-tuples-50": ("base", "pass", 86, 0,
         "triangle pairs=36 pentagon quadruples=50", None),
+    "horizontal_strictness-composite": ("horizontal_strictness", "fail", 2, 0,
+        "associativity", (("{1:1}",), (1,), 1, 0, 0, "1", "2")),
     "interchange-projection": ("interchange", "fail", 6, 0, None,
         (("{1:1, 2:1}",), (1,), 1, 0, 0, "2", "1")),
     "lambda_conjugation-dense-component": ("lambda_conjugation", "fail", 2, 0,
@@ -450,11 +474,13 @@ def test_fail_path_report_is_pinned(case):
 
 
 # the naturality cases, whose witnesses come from composites built only for
-# the pair the rank-one route hands over
+# the pair the rank-one route hands over, and a horizontal composite whose
+# cells are rebuilt on the witness's objects
 REPLAYED = {
     "D1-tabulated": _d1_tabulated,
     "E0-tabulated-naturality": _e0_tabulated_naturality,
     "laxator_naturality-bad-mu": _laxator_naturality,
+    "horizontal_strictness-composite": _horizontal_strictness,
 }
 
 
@@ -471,8 +497,6 @@ def test_naturality_witness_replays_on_its_objects(case):
 NO_FAILING_CASE = {
     "classify": "c^2 = c and c = 1 leave only c = 1 in every field",
     "search_idempotents": "a search row reports the verdicts of the E/B checks above",
-    "horizontal_strictness": "both sides expand to the same components while "
-                             "every functor's mor preserves composition",
 }
 
 

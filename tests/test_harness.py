@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,24 @@ def test_generate_universe_includes_unit():
     for monoid, bounds in ((NAT, (2, 1, 2)), (PARITY, (1, 1, 2)),
                            (TRIVIAL, (0, 2, 1))):
         assert unit_object(monoid) in generate_universe(monoid, *bounds)
+
+
+@pytest.mark.parametrize("grading,max_degree,degrees", [
+    ("nat", 2, 3), ("parity", 1, 2), ("trivial", 0, 1)])
+def test_a_support_bound_past_the_degree_count_validates_at_once(
+        grading, max_degree, degrees):
+    # supports larger than the number of degrees are empty, so a huge bound
+    # gives the universe of a bound equal to that number, without walking it
+    def universe(max_support):
+        return scenario_from_dict(minimal_doc(
+            grading=grading, checks=["D4"], universe={
+                "max_degree": max_degree, "max_dim": 1,
+                "max_support": max_support})).universe
+
+    start = time.perf_counter()
+    huge = [universe(10 ** 5), universe(10 ** 20)]
+    assert time.perf_counter() - start < 0.5
+    assert huge == [universe(degrees)] * 2
 
 
 def test_sorted_canonically():

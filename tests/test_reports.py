@@ -108,6 +108,14 @@ def test_disagreeing_scalar_route_raises_naming_the_axiom():
     assert report.verdict == "fail" and checked == [0, 1, 2]
 
 
+def test_a_run_of_instances_cannot_skip_the_scalar_route():
+    # a run has no objects to hand to ``agrees``, so a check with a scalar
+    # route must pass every instance as a tuple
+    with pytest.raises(AssertionError, match="run of instances skips the scalar route for D3"):
+        decide("D3", Phase(iter([((0,), [SAME]), 2])), agrees=lambda k: True)
+    assert decide("D3", Phase(iter([2, ((0,), [SAME])]))).coverage.object_tuples == 3
+
+
 def test_pass_note_is_formatted_with_per_phase_counts():
     report = decide("ax", Phase(instances([[SAME]] * 2)),
                     Phase(instances([[SAME]] * 5), cap=3),
