@@ -9,7 +9,7 @@ from .errors import (
 from .fields import FieldError, PrimeField, RATIONAL, Rationals
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, MONOIDS, NAT, PARITY, TRIVIAL,
-    associator, associator_inv, check_base, collapse_map, compose, graded_map,
+    associator, associator_inv, collapse_map, compose, graded_map,
     identity, left_unitor, left_unitor_inv, monomial_map, right_unitor,
     right_unitor_inv, sort_universe, tensor_map, tensor_obj, unit_object,
     zero_map,
@@ -17,7 +17,7 @@ from .exactlin import (
 from .reports import CheckBudget, CheckReport, Coverage, Witness
 from .distortion import (
     DistortedStructure, StructuralFamily, Tabulated,
-    character_family, check_D1, check_D2, check_D3, check_D4,
+    character_family, check_base, check_D1, check_D2, check_D3, check_D4,
     check_lambda_sigma_commute, classify_scalar_unit_families,
     graded_character, identity_unit, koszul_braiding, symmetric_braiding,
     tabulate_binary,

@@ -9,7 +9,8 @@ Y_j (x) X_i scaled by c(i, j) (the Koszul rule is (-1)^(i*j), and its
 builder refuses a grading other than parity); the idempotents scale
 X_i (x) Y_j in place; Lambda scales X_m by a(m).
 
-Checkers decide the four structure axioms by exact matrix equality:
+Checkers decide base coherence (``base``: the triangle and pentagon of
+the associators) and the four structure axioms by exact matrix equality:
 binaturality, unit normalization, both typed hexagons, and
 multiplicativity of the unit family.  Each states its quantifiers as
 ``reports.Phase``s and leaves enumeration, caps, counts and witnesses to
@@ -27,7 +28,7 @@ from functools import cache, partial
 from itertools import product
 from typing import Callable, Sequence
 
-from .errors import BadUnitScalar, CoverageError, MonoidMismatch
+from .errors import BadUnitScalar, CoverageError, MonoidMismatch, ObjectMismatch
 from .exactlin import (
     GradedMap, GradedObject, GradingMonoid, RankOne, TRIVIAL,
     compose, degree_scaling, elementary, flip_map, identity,
@@ -361,6 +362,65 @@ def scalar_route(field, monoid, c: Callable, s: Callable, axioms) -> Callable:
 
 # ---------------------------------------------------------------------------
 # axiom checkers
+
+
+def check_base(field, universe: Sequence[GradedObject], budget: CheckBudget,
+               assoc: Callable = None) -> CheckReport:
+    """Triangle (all pairs) and pentagon (quadruples, capped by budget).
+
+    Every unitor is the interned identity, so the triangle of (x, y) is
+    ``assoc(x, I, y)`` against the identity of X (x) Y.  The pentagon walks
+    (w, x, y, z) in canonical order and builds ``assoc(w, x, y)`` and the
+    tensors of each prefix once.  A whiskering ``id_W (x) a`` or
+    ``a (x) id_Z`` of an associator that is an interned identity is not
+    built, since ``tensor_map`` and ``compose`` would hand back the other
+    map unchanged.  A run of quadruples whose two sides come out as one
+    interned map holds without a scan and goes to ``decide`` as its length,
+    flushed after each innermost loop.  ``assoc`` is a test hook; the
+    default is the canonical associator.
+    """
+    if not universe:
+        raise ObjectMismatch("check_base needs a nonempty universe")
+    assoc = assoc or associator
+    objs = sort_universe(universe)
+    unit = unit_object(objs[0].monoid)
+
+    triangles = (((x, y), [Side(assoc(field, x, unit, y),
+                                identity(field, tensor_obj(x, y)))])
+                 for x, y in product(objs, repeat=2))
+
+    def pentagons():
+        for w in objs:
+            id_w = identity(field, w)
+            for x in objs:
+                wx = tensor_obj(w, x)
+                for y in objs:
+                    xy = tensor_obj(x, y)
+                    a = assoc(field, w, x, y)
+                    a_id = a is a.source._identities.get(field)
+                    held = 0
+                    for z in objs:
+                        p1 = compose(assoc(field, w, x, tensor_obj(y, z)),
+                                     assoc(field, wx, y, z))
+                        p2 = assoc(field, w, xy, z)
+                        if not a_id:
+                            p2 = compose(p2, tensor_map(a, identity(field, z)))
+                        b = assoc(field, x, y, z)
+                        if b is not b.source._identities.get(field):
+                            p2 = compose(tensor_map(id_w, b), p2)
+                        if p1 is p2:
+                            held += 1
+                            continue
+                        if held:
+                            yield held
+                            held = 0
+                        yield (w, x, y, z), [Side(p1, p2)]
+                    if held:
+                        yield held
+
+    return decide("base", Phase(triangles, note="triangle"),
+                  Phase(pentagons(), budget.max_object_tuples, "pentagon"),
+                  note="triangle pairs={} pentagon quadruples={}")
 
 
 def check_D1(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:

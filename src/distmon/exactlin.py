@@ -23,6 +23,10 @@ basis pair is one row or one column of a map the check already holds;
 ``RankOne.settle`` compares them for all pairs of a quadruple at once, from
 the summand offsets and the basis entries alone, and builds no map.
 
+The module builds maps and reads layouts; it decides no axiom (the
+checkers live in ``distortion``, ``twist``, ``laxfun`` and ``transform``),
+and it imports no other module of the package but ``errors``.
+
 Every block has one form: a tuple of columns, each a flat tuple
 ``(r1, v1, r2, v2, ...)`` of its nonzero entries in ascending row order.
 The structural maps (associators, unitors, flips, Koszul signs,
@@ -59,40 +63,43 @@ never interns, so a value-equal copy takes the generic path.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from math import inf
 from operator import add, is_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
 from .errors import MonoidMismatch, ObjectMismatch
-from .reports import CheckBudget, CheckReport, Phase, Side, decide
 
 
 # ---------------------------------------------------------------------------
 # grading monoids
 
 
-_ADDITIONS = {
-    "trivial": lambda a, b: 0,
-    "parity": lambda a, b: (a + b) & 1,
-    "nat": add,
+# kind -> (degree sum, number of degrees)
+_KINDS = {
+    "trivial": (lambda a, b: 0, 1),
+    "parity": (lambda a, b: (a + b) & 1, 2),
+    "nat": (add, inf),
 }
 
 
 class GradingMonoid:
     """A commutative monoid of degrees: {0}, Z/2 or N.
 
-    ``add`` is the degree sum of the kind, bound once when the monoid is
+    ``add`` is the degree sum of the kind and ``degrees`` its number of
+    degrees, 0 up (``inf`` for N), both bound once when the monoid is
     built; equality, hashing, ``repr`` and pickling go by ``kind`` alone.
     """
 
-    __slots__ = ("kind", "add")
+    __slots__ = ("kind", "add", "degrees")
 
     zero = 0
 
     def __init__(self, kind: str):  # "trivial" | "parity" | "nat"
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "add", _ADDITIONS[kind])
+        add_, degrees = _KINDS[kind]
+        object.__setattr__(self, "add", add_)
+        object.__setattr__(self, "degrees", degrees)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,13 +117,8 @@ class GradingMonoid:
         return f"GradingMonoid(kind={self.kind!r})"
 
     def valid_degree(self, d: int) -> bool:
-        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-            return False
-        if self.kind == "trivial":
-            return d == 0
-        if self.kind == "parity":
-            return d in (0, 1)
-        return True
+        return (isinstance(d, int) and not isinstance(d, bool)
+                and 0 <= d < self.degrees)
 
 
 TRIVIAL = GradingMonoid("trivial")
@@ -428,7 +430,8 @@ def zero_map(field, source: GradedObject, target: GradedObject) -> GradedMap:
 
 
 def elementary(field, source: GradedObject, target: GradedObject, e) -> GradedMap:
-    """The map ``source -> target`` with the one nonzero entry ``e`` (``entry``)."""
+    """The map ``source -> target`` with the one nonzero entry ``e``, a tuple
+    ``(degree, row, col, value)``; the zero map for ``e = ()``."""
     if not e:
         return zero_map(field, source, target)
     d, r, c, v = e
@@ -840,24 +843,6 @@ def collapse_laxator(field, x: GradedObject, y: GradedObject,
 # building a map
 
 
-def entry(m: GradedMap):
-    """The one nonzero entry ``(degree, row, col, value)`` of an elementary
-    map; ``()`` for the zero map and ``None`` for a map with more than one
-    nonzero entry."""
-    if not m.blocks:
-        return ()
-    if len(m.blocks) > 1:
-        return None
-    d, block = m.blocks[0]
-    found = None
-    for c, col in enumerate(block):
-        if col:
-            if found is not None or len(col) != 2:
-                return None
-            found = (d, col[0], c, col[1])
-    return found
-
-
 class RankOne:
     """The squares ``E o M == N o E'`` with E and E' elementary or zero.
 
@@ -995,67 +980,3 @@ def factor_degrees(factors, degree: int, col: int) -> tuple:
     i, j, pos = _summand_at(_bracketed(left), y, degree, col)
     k = y.dim(j)
     return factor_degrees(left, i, pos // k) + factor_degrees(right, j, pos % k)
-
-
-# ---------------------------------------------------------------------------
-# base coherence
-
-
-def check_base(field, universe: Sequence[GradedObject], budget: CheckBudget,
-               assoc: Callable = None) -> CheckReport:
-    """Pentagon (quadruples, capped by budget) and triangle (all pairs).
-
-    The pentagon walks (w, x, y, z) in canonical order and builds
-    ``assoc(w, x, y)`` and the tensors of each prefix once.  A whiskering
-    ``id_W (x) a`` or ``a (x) id_Z`` of an associator that is an interned
-    identity is not built, since ``tensor_map`` and ``compose`` would hand
-    back the other map unchanged.  A run of quadruples whose two sides come
-    out as one interned map holds without a scan and goes to ``decide`` as
-    its length, flushed after each innermost loop.  ``assoc`` is a test
-    hook; the default is the canonical associator.
-    """
-    if not universe:
-        raise ObjectMismatch("check_base needs a nonempty universe")
-    assoc = assoc or associator
-    objs = sort_universe(universe)
-    unit = unit_object(objs[0].monoid)
-
-    def triangles():
-        for x, y in product(objs, repeat=2):
-            lhs = compose(tensor_map(identity(field, x), left_unitor(field, y)),
-                          assoc(field, x, unit, y))
-            rhs = tensor_map(right_unitor(field, x), identity(field, y))
-            yield (x, y), [Side(lhs, rhs)]
-
-    def pentagons():
-        for w in objs:
-            id_w = identity(field, w)
-            for x in objs:
-                wx = tensor_obj(w, x)
-                for y in objs:
-                    xy = tensor_obj(x, y)
-                    a = assoc(field, w, x, y)
-                    a_id = _is_identity(a)
-                    held = 0
-                    for z in objs:
-                        p1 = compose(assoc(field, w, x, tensor_obj(y, z)),
-                                     assoc(field, wx, y, z))
-                        p2 = assoc(field, w, xy, z)
-                        if not a_id:
-                            p2 = compose(p2, tensor_map(a, identity(field, z)))
-                        b = assoc(field, x, y, z)
-                        if not _is_identity(b):
-                            p2 = compose(tensor_map(id_w, b), p2)
-                        if p1 is p2:
-                            held += 1
-                            continue
-                        if held:
-                            yield held
-                            held = 0
-                        yield (w, x, y, z), [Side(p1, p2)]
-                    if held:
-                        yield held
-
-    return decide("base", Phase(triangles(), note="triangle"),
-                  Phase(pentagons(), budget.max_object_tuples, "pentagon"),
-                  note="triangle pairs={} pentagon quadruples={}")

@@ -16,12 +16,10 @@ from math import comb
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DistmonError, ParseError, ValidationError
-from .exactlin import (
-    GradedObject, MONOIDS, check_base, sort_universe, unit_object,
-)
+from .exactlin import GradedObject, MONOIDS, sort_universe, unit_object
 from .fields import FieldError, PrimeField, RATIONAL
 from .distortion import (
-    DistortedStructure, check_D1, check_D2, check_D3, check_D4,
+    DistortedStructure, check_base, check_D1, check_D2, check_D3, check_D4,
     check_lambda_sigma_commute, classify_scalar_unit_families,
     character_family, graded_character, identity_unit, koszul_braiding,
     symmetric_braiding,
@@ -52,9 +50,7 @@ MAX_UNIVERSE = 4096  # objects a generator may produce
 
 def _degree_count(monoid, max_degree: int) -> int:
     """How many degrees, from 0 up, a generator draws supports from."""
-    if monoid.kind == "trivial":
-        return 1
-    return min(max_degree, 1) + 1 if monoid.kind == "parity" else max_degree + 1
+    return min(max_degree + 1, monoid.degrees)
 
 
 def generate_universe(monoid, max_degree: int, max_dim: int,

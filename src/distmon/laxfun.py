@@ -23,7 +23,7 @@ two.  Their ``mor`` is an ``Entrywise`` map, which also moves the entry
 of an elementary map, so ``check_laxator_naturality`` decides a basis
 pair from entries and builds u, v, ``u (x) v`` and ``F(u (x) v)`` only
 for a pair it hands to the composites.  A functor given any other ``mor``
-is decided from the images ``mor`` builds of the elementary maps.
+has no rule, and the composites decide each of its pairs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 from .errors import MonoidMismatch, StructureMismatch
 from .exactlin import (
     GradedMap, GradedObject, TRIVIAL, associator, block_map,
-    collapse_laxator, collapse_map, compose, elementary, entry, identity,
+    collapse_laxator, collapse_map, compose, elementary, identity,
     left_unitor, right_unitor, sort_universe, tensor_map, tensor_obj,
     unit_object,
 )
@@ -51,7 +51,8 @@ class Entrywise:
 
     ``mover(A, B)`` maps the objects once: it is ``(FA, FB, move)``, where
     ``move(e)`` is the entry of ``F(E) : FA -> FB`` for the elementary map
-    ``E : A -> B`` with entry ``e`` (``exactlin.entry``; ``()`` for zero).
+    ``E : A -> B`` with entry ``e``, both as ``(degree, row, col, value)``
+    (``()`` for zero).
     The rule belongs to the map it describes: a functor given another
     ``mor`` has none.
     """
@@ -314,20 +315,12 @@ def check_Ssigma(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
 
 def _entry_rule(func: LaxFunctor) -> Callable:
     """``func.mor``'s mover (``Entrywise``); a morphism map with none gets
-    one whose ``move`` builds the elementary map and reads the entry of its
-    image: ``None`` unless that image is a map ``obj(A) -> obj(B)``."""
+    one that maps the objects by ``func.obj`` and moves no entry, so that
+    every pair goes to the composites."""
     if isinstance(func.mor, Entrywise):
         return func.mor.mover
-    field, mor, obj = func.source.field, func.mor, func.obj
-
-    def mover(a: GradedObject, b: GradedObject) -> tuple:
-        fa, fb = obj(a), obj(b)
-
-        def move(e):
-            fe = mor(elementary(field, a, b, e))
-            return entry(fe) if fe.source is fa and fe.target is fb else None
-        return fa, fb, move
-    return mover
+    obj = func.obj
+    return lambda a, b: (obj(a), obj(b), lambda e: None)
 
 
 def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckReport:
@@ -338,10 +331,11 @@ def check_laxator_naturality(func: LaxFunctor, budget: CheckBudget) -> CheckRepo
     basis pairs decide the square for all maps.  The bases are entry tables
     with the entries of their images, from ``_entry_rule``'s mover, and each
     laxator is built once per check.  One ``exactlin.RankOne.settle`` call
-    per object quadruple decides every pair whose images are elementary or
-    zero and whose maps have the objects the square needs, from one row of
-    mu(X,Y) and one column of mu(X',Y'); u, v and the two composites are
-    built only for a pair off that route, or one it finds unequal.
+    per object quadruple decides every pair whose images have entries and
+    whose maps have the objects the square needs, from one row of mu(X,Y)
+    and one column of mu(X',Y'); u, v and the two composites are built only
+    for a pair off that route, which is every pair of a functor without an
+    entry rule, or one it finds unequal.
     """
     field = func.source.field
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from .exactlin import factor_degrees
+
 
 class CheckBudget(NamedTuple):
     """The cap on the instances of each check's largest quantifier."""
@@ -107,7 +109,6 @@ def equality_witness(axiom: str, objects, left, right,
     diff = first_difference(left, right)
     if diff is None:
         return None
-    from .exactlin import factor_degrees  # exactlin imports this module
     degree, row, col, lv, rv = diff
     return Witness(axiom, tuple(objects), factor_degrees(factors, degree, col),
                    degree, row, col, lv, rv, left, right)

@@ -211,12 +211,8 @@ def check_horizontal_strictness(chains: Sequence[Sequence[MonNatTrans]],
                                       a.source_functor.source.universe)
 
     def unit_laws():
-        seen = []
-        for chain in chains:
-            for cell in chain:
-                if all(cell is not s for s in seen):
-                    seen.append(cell)
-        for cell in seen:
+        # each distinct cell once, in order of first use; cells hash by reference
+        for cell in dict.fromkeys(c for chain in chains for c in chain):
             func = cell.source_functor
             universe = func.source.universe
             id_src = identity_transformation(identity_functor(func.source))

@@ -293,17 +293,17 @@ def _base_capped():
     return check_base(Q, NAT_U, CheckBudget(max_object_tuples=50))
 
 
-def _base_corrupted():
+def _base_corrupted(universe=NAT_U):
     bad_at = (NAT_U[1], NAT_U[2], NAT_U[3])
 
     def corrupt(field, x, y, z):
         a = associator(field, x, y, z)
         return doubled(a) if (x, y, z) == bad_at else a
 
-    return check_base(Q, NAT_U, CheckBudget(), assoc=corrupt)
+    return check_base(Q, universe, CheckBudget(), assoc=corrupt)
 
 
-def _base_scaled_identity_associator():
+def _base_scaled_identity_associator(universe=NAT_U):
     """One column of an associator that is the interned identity, scaled."""
     bad_at = (obj(NAT, {0: 1, 1: 1}), obj(NAT, {1: 1}), obj(NAT, {1: 1}))
 
@@ -316,7 +316,7 @@ def _base_scaled_identity_associator():
         blocks[3][0][0] = Fraction(2)
         return graded_map(field, a.source, a.target, blocks)
 
-    return check_base(Q, NAT_U, CheckBudget(), assoc=scaled)
+    return check_base(Q, universe, CheckBudget(), assoc=scaled)
 
 
 CASES = {
@@ -474,13 +474,16 @@ def test_fail_path_report_is_pinned(case):
 
 
 # the naturality cases, whose witnesses come from composites built only for
-# the pair the rank-one route hands over, and a horizontal composite whose
-# cells are rebuilt on the witness's objects
+# the pair the rank-one route hands over, a horizontal composite whose
+# cells are rebuilt on the witness's objects, and the base pentagons, which
+# skip the whiskerings of identity associators
 REPLAYED = {
     "D1-tabulated": _d1_tabulated,
     "E0-tabulated-naturality": _e0_tabulated_naturality,
     "laxator_naturality-bad-mu": _laxator_naturality,
     "horizontal_strictness-composite": _horizontal_strictness,
+    "base-corrupted-associator": _base_corrupted,
+    "base-scaled-identity-associator": _base_scaled_identity_associator,
 }
 
 

@@ -22,7 +22,7 @@ from distmon import (
     identity_functor, identity_unit, koszul_braiding, symmetric_braiding,
     truncation_functor,
 )
-from distmon import exactlin
+from distmon import distortion
 from distmon.exactlin import (
     associator, compose, identity, left_unitor, right_unitor, sort_universe,
     tensor_map, tensor_obj, unit_object,
@@ -137,7 +137,7 @@ def _runs(universe, cap, monkeypatch, **kwargs):
                 yield item
         return decide(axiom, triangles, pentagons._replace(instances=items()), **kw)
 
-    monkeypatch.setattr(exactlin, "decide", recording)
+    monkeypatch.setattr(distortion, "decide", recording)
     return check_base(Q, universe, budget(cap), **kwargs), seen
 
 

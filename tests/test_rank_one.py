@@ -10,10 +10,11 @@ the kernel's verdict is ``first_difference``'s on the composites, and that
 each check's whole report (verdict, tuples, maps and witness) equals the
 one a loop that walks every quadruple and always builds the composites
 gives, also under caps that end inside a run of vacuous quadruples, at the
-first quadruple with a pair, and at a failing quadruple.  The functors'
-entry movers (``laxfun.Entrywise``, or the one ``laxfun._entry_rule``
-makes for another ``mor``) are checked against the maps ``mor`` builds, on
-every elementary map, and a square that holds builds no basis map.
+first quadruple with a pair, and at a failing quadruple.  The builtin
+functors' entry movers (``laxfun.Entrywise``) are checked against the maps
+``mor`` builds, on every elementary map; a functor given another ``mor``
+has a rule that moves no entry, so the composites decide its pairs.  A
+square that holds builds no basis map.
 """
 
 from collections import Counter
@@ -34,7 +35,7 @@ from distmon.distortion import (
     StructuralFamily, Tabulated, basis_quadruples, binaturality_phase,
 )
 from distmon.exactlin import (
-    RankOne, compose, elementary, elementary_maps, entry, flip_map, identity,
+    RankOne, compose, elementary, elementary_maps, flip_map, identity,
     GradedObject, block_map, sort_universe, summand_scaling, tensor_map,
 )
 from distmon.errors import ObjectMismatch
@@ -51,6 +52,24 @@ FP_U = generate_universe(NAT, 2, 2, 1)         # naturality-fp's universe
 DENSE_U = sort_universe([obj(NAT, {0: 2, 1: 2}), obj(NAT, {0: 2, 1: 1}),
                          obj(NAT, {0: 1, 1: 2})])  # the dense nat universe, k=2
 ODD = obj(PARITY, {1: 1})
+
+
+def entry(m):
+    """The one nonzero entry ``(degree, row, col, value)`` of an elementary
+    map; ``()`` for the zero map and ``None`` for a map with more than one
+    nonzero entry."""
+    if not m.blocks:
+        return ()
+    if len(m.blocks) > 1:
+        return None
+    d, block = m.blocks[0]
+    found = None
+    for c, col in enumerate(block):
+        if col:
+            if found is not None or len(col) != 2:
+                return None
+            found = (d, col[0], c, col[1])
+    return found
 
 
 def doubled(m):
@@ -343,28 +362,28 @@ def _entrywise_functors(field, universe):
 
 @pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
 def test_entry_rules_match_the_maps_on_every_elementary_map(universe):
-    # the builtin functors' movers, and the mover a functor with a replaced
-    # (plain) morphism map gets from the maps it builds: the objects are
-    # mapped once per pair, and an image that leaves them has no entry
+    # the builtin functors' movers against the maps they build: the objects
+    # are mapped once per pair, and an image that leaves them has no entry;
+    # a functor with a replaced (plain) morphism map gets a rule that maps
+    # the objects by obj and moves no entry
     field, objs = LAX_UNIVERSES[universe]
     objects = sort_universe([*objs, *(tensor_obj(x, y)
                                       for x, y in product(objs, repeat=2))])
     maps = [(a, b, e) for a, b in product(objects, repeat=2)
             for e in elementary_maps(field, a, b)]
     assert maps
-    funcs = _entrywise_functors(field, objs)
-    for name, func in funcs.items():
+    for name, func in _entrywise_functors(field, objs).items():
         assert isinstance(func.mor, Entrywise), name
-    funcs.update({f"plain {name}": func._replace(mor=lambda f, _mor=func.mor: _mor(f))
-                  for name, func in list(funcs.items())})
-    for name, func in funcs.items():
         mover = _entry_rule(func)
+        plain = _entry_rule(func._replace(mor=lambda f, _mor=func.mor: _mor(f)))
         for a, b, e in maps:
             fa, fb, move = mover(a, b)
             assert (fa, fb) == (func.obj(a), func.obj(b)), name
             fe = func.mor(e)
             assert move(entry(e)) == (entry(fe) if (fe.source, fe.target) == (fa, fb)
                                       else None), name
+            pa, pb, move = plain(a, b)
+            assert (pa, pb) == (fa, fb) and move(entry(e)) is None, name
 
 
 @pytest.mark.parametrize("universe", sorted(LAX_UNIVERSES))
@@ -460,16 +479,17 @@ def test_a_replaced_morphism_map_drops_the_entry_rule(composite):
 
 @pytest.mark.parametrize("name", ["tau1-bad-mu", "doubled U"])
 def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
-    # the rule route (tau1 with doubled laxators) and the built-map route
-    # (U with a doubled mor) both ask the kernel once per quadruple, and the
-    # kernel accounts for each pair once: the pairs it holds and hands over
-    # add up to maps=, and each pair it finds unequal becomes one Side
-    # marked unequal, with no second verdict
+    # the rule route (tau1 with doubled laxators) and a functor without a
+    # rule (U with a doubled mor) both ask the kernel once per quadruple,
+    # and the kernel accounts for each pair once: the pairs it holds and
+    # hands over add up to maps=.  With a rule, each pair it finds unequal
+    # becomes one Side marked unequal, with no second verdict; without
+    # one, it hands every pair over, once, and marks none unequal
     import distmon.laxfun as laxfun
     funcs = _functors(Q, NAT_U)
     func = (funcs[name] if name in funcs else
             funcs["U"]._replace(mor=lambda f, _mor=funcs["U"].mor: doubled(_mor(f))))
-    calls, pairs, unequal, marked = [], [], [], []
+    calls, pairs, handed, unequal, marked = [], [], [], [], []
     kernel, make_side = RankOne.settle, laxfun.Side
 
     def settle(self, source, target, us, vs, unsettled, *args, **kw):
@@ -477,6 +497,7 @@ def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
         calls.append(objects)
 
         def hand_over(s, t, u, v, is_unequal):
+            handed.append((objects, u, v))
             unequal.extend([(objects, u, v)] if is_unequal else ())
             return unsettled(s, t, u, v, is_unequal)
 
@@ -494,7 +515,11 @@ def test_each_laxator_pair_is_decided_by_one_kernel_call(name, monkeypatch):
     assert report.verdict == "fail"
     assert len(calls) == len(set(calls))
     assert sum(pairs) == report.coverage.sampled_maps
-    assert unequal and len(unequal) == len(marked)
+    if name in funcs:
+        assert unequal and len(unequal) == len(marked)
+    else:
+        assert not unequal and not marked
+        assert len(handed) == len(set(handed)) == report.coverage.sampled_maps
 
 
 def _count_elementary(monkeypatch):
