@@ -123,24 +123,17 @@ def shared(family, key: tuple, build: Callable) -> GradedMap:
 
 def id_tensor(family, field, w: GradedObject, a: GradedObject,
               b: GradedObject) -> GradedMap:
-    """``id_W (x) family(A, B)``: the interned identity when the family's
-    map is one, which most whiskerings in a hexagon are, and otherwise
-    shared through the family (``shared``)."""
-    m = family.at(field, a, b)
-    if m is m.source._identities.get(field):
-        return identity(field, tensor_obj(w, m.source))
+    """``id_W (x) family(A, B)``, shared through the family (``shared``);
+    the interned identity when the family's map is one."""
     return shared(family, ("id (x)", field, w, a, b),
-                  lambda: tensor_map(identity(field, w), m))
+                  lambda: tensor_map(identity(field, w), family.at(field, a, b)))
 
 
 def tensor_id(family, field, a: GradedObject, b: GradedObject,
               w: GradedObject) -> GradedMap:
     """``family(A, B) (x) id_W``, as ``id_tensor``."""
-    m = family.at(field, a, b)
-    if m is m.source._identities.get(field):
-        return identity(field, tensor_obj(m.source, w))
     return shared(family, ("(x) id", field, a, b, w),
-                  lambda: tensor_map(m, identity(field, w)))
+                  lambda: tensor_map(family.at(field, a, b), identity(field, w)))
 
 
 def tabulate_binary(family, field, pairs) -> Tabulated:
@@ -449,39 +442,63 @@ def check_D2(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
     return decide("D2", Phase(normalizations), Phase(unit_law()))
 
 
-def _hexagon_sides(ds: DistortedStructure, x, y, z):
-    """The two typed hexagon identities, as sides out of (XY)Z and X(YZ).
-
-    Over all triples the two hexagons whisker the same flips, so a
-    structural sigma builds each whiskering once (``shared``)."""
-    field, sigma = ds.field, ds.sigma
-    hex1_lhs = ds.sigma_map(tensor_obj(x, y), z)
-    hex1_rhs = compose(
-        associator(field, z, x, y),
-        compose(tensor_id(sigma, field, x, z, y),
-                compose(associator_inv(field, x, z, y),
-                        compose(id_tensor(sigma, field, x, y, z),
-                                associator(field, x, y, z)))))
-    hex2_lhs = ds.sigma_map(x, tensor_obj(y, z))
-    hex2_rhs = compose(
-        associator_inv(field, y, z, x),
-        compose(id_tensor(sigma, field, y, x, z),
-                compose(associator(field, y, x, z),
-                        compose(tensor_id(sigma, field, x, y, z),
-                                associator_inv(field, x, y, z)))))
-    return [Side(hex1_lhs, hex1_rhs, ((x, y), z)),
-            Side(hex2_lhs, hex2_rhs, (x, (y, z)))]
+def compose_links(*maps) -> GradedMap:
+    """``maps[0] o ... o maps[-1]``, composed from the right, with no call for
+    a link that is None or an interned identity; links that do not meet
+    still go to ``compose``, which refuses them."""
+    out = maps[-1]
+    for m in maps[-2::-1]:
+        unit = out.target._identities.get(out.field)
+        if m is None or m is unit:
+            continue
+        out = (m if out is unit and m.source is out.target and m.field is out.field
+               else compose(m, out))
+    return out
 
 
 def check_D3(ds: DistortedStructure, budget: CheckBudget) -> CheckReport:
-    """Both typed hexagons over universe triples (capped by budget)."""
-    triples = ((t, _hexagon_sides(ds, *t)) for t in product(ds.universe, repeat=3))
+    """Both typed hexagons over universe triples (capped by budget), as sides
+    out of (XY)Z and X(YZ).  The walk builds each prefix's tensor once and
+    reads from a per-check table which sigma(A, B) is the identity of
+    A (x) B; its whiskering, and every identity associator, is left out of
+    the composites (``compose_links``).  The other whiskerings are built
+    once over both hexagons (``id_tensor``, ``tensor_id``)."""
+    field, sigma = ds.field, ds.sigma
+    flips: dict = {}  # (a, b) -> whether sigma(a, b) is the identity of A (x) B
+
+    def trivial(a, b):
+        if (a, b) not in flips:
+            flips[a, b] = sigma.at(field, a, b) is tensor_obj(a, b)._identities.get(field)
+        return flips[a, b]
+
+    def triples():
+        for x in ds.universe:
+            for y in ds.universe:
+                xy, xy_trivial = tensor_obj(x, y), trivial(x, y)
+                for z in ds.universe:
+                    xz_trivial, yz_trivial = trivial(x, z), trivial(y, z)
+                    hex1 = compose_links(
+                        associator(field, z, x, y),
+                        None if xz_trivial else tensor_id(sigma, field, x, z, y),
+                        associator_inv(field, x, z, y),
+                        None if yz_trivial else id_tensor(sigma, field, x, y, z),
+                        associator(field, x, y, z))
+                    hex2 = compose_links(
+                        associator_inv(field, y, z, x),
+                        None if xz_trivial else id_tensor(sigma, field, y, x, z),
+                        associator(field, y, x, z),
+                        None if xy_trivial else tensor_id(sigma, field, x, y, z),
+                        associator_inv(field, x, y, z))
+                    yield (x, y, z), [
+                        Side(sigma.at(field, xy, z), hex1, ((x, y), z)),
+                        Side(sigma.at(field, x, tensor_obj(y, z)), hex2, (x, (y, z)))]
+
     note = agrees = None
-    if ds.sigma.structural:
-        field, note = ds.field, STRUCTURAL_NOTE
+    if sigma.structural:
+        note = STRUCTURAL_NOTE
         agrees = scalar_route(field, ds.monoid, None,
-                              lambda i, j: ds.sigma.coefficient(field, i, j), ("H1", "H2"))
-    return decide("D3", Phase(triples, budget.max_object_tuples),
+                              lambda i, j: sigma.coefficient(field, i, j), ("H1", "H2"))
+    return decide("D3", Phase(triples(), budget.max_object_tuples),
                   note=note, agrees=agrees)
 
 

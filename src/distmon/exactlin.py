@@ -9,10 +9,11 @@ once and for all:
   ascending order of the first-factor degree ``i``;
 * inside one summand indices are row-major (X index outer, Y index inner).
 
-This module is the only one that knows that layout, and it knows it in
-one form: the offset of each summand in its degree.  Every map whose
-entries depend on it is built here: the associators and unitors, the
-flips X (x) Y -> Y (x) X, the summand scalings of X (x) Y, the collapse
+This module is the only one that knows that layout: as the offset of each
+summand in its degree, or, for flips and summand scalings, as one walk
+that also places each summand in Y (x) X.  Every map whose entries depend
+on it is built here: the associators and unitors, the flips
+X (x) Y -> Y (x) X, the summand scalings of X (x) Y, the collapse
 functor's laxator, and ``factor_degrees``, which names the factor
 degrees of a witness column; the degree scalings of X sit beside them.
 They are concrete monomial matrices, and every identity in this package
@@ -48,15 +49,14 @@ Every constructor here returns that map when its result is the identity
 between equal objects, and the structure maps decide that before they
 build anything: ``associator``/``associator_inv`` from the order of the
 summands, before any offset is computed, and ``flip_map`` and
-``summand_scaling`` per summand, from its offsets, its dimensions and
-its coefficient (tested by reference before ``==``); otherwise they
-write canonical columns directly.  The unitors are identities, and
-``monomial_map`` with everything built on it (degree scalings, the
-collapse laxator, elementary maps) returns the identity when every
-column is a unit; ``block_map`` does the same for the truncation
-functor and the projection cells, and ``collapse_map`` for the collapse
-functor's image of an identity.  After their checks, ``compose`` and
-``tensor_map`` apply the unit laws to it by reference.  ``graded_map``
+``summand_scaling`` in their walk, from each summand's offsets,
+dimensions and coefficient; otherwise they write canonical columns.  The
+unitors are identities, and ``monomial_map`` with everything built on it
+(degree scalings, the collapse laxator, elementary maps) returns the
+identity when every column is a unit; ``block_map`` does the same for the
+truncation functor and the projection cells, and ``collapse_map`` for the
+collapse functor's image of an identity.  After their checks, ``compose``
+and ``tensor_map`` apply the unit laws to it by reference.  ``graded_map``
 never interns, so a value-equal copy takes the generic path.
 """
 
@@ -274,13 +274,17 @@ def _to_rows(field, block, nrows: int) -> tuple:
 def mat_mul(field, a, b):
     """The block product ``a . b``, one column at a time (Gustavson).
 
-    A column of ``b`` with one entry ``(t, v)`` reuses column ``t`` of ``a``
-    when ``v`` is one and scales it otherwise; longer columns accumulate.
+    A zero column of ``b`` is passed through, a column with one entry
+    ``(t, v)`` reuses column ``t`` of ``a`` when ``v`` is one and scales it
+    otherwise, and longer columns accumulate.
     """
     one = field.one
     add, mul = field.add, field.mul
     out = []
     for col in b:
+        if not col:  # a zero column needs no accumulator
+            out.append(col)
+            continue
         if len(col) == 2:
             t, v = col
             acol = a[t]
@@ -721,89 +725,70 @@ left_unitor = left_unitor_inv = right_unitor = right_unitor_inv = identity
 # maps between tensor products that act summand by summand
 
 
-def _coefficients(field, x: GradedObject, y: GradedObject, coeff) -> tuple:
-    """``[(i, j, n, offset, dim X_i, dim Y_j, coeff(i, j))]`` over the
-    summands of X (x) Y, each value equal to one replaced by ``field.one``,
-    and whether every value is one.  Each value is tested once, by
-    reference before ``==``."""
-    one = field.one
-    xd, yd = dict(x.dims), dict(y.dims)
-    out, ones = [], True
-    for (i, j), (n, off) in _summand_offsets(x, y).items():
-        v = coeff(i, j)
-        if v is not one:
-            if v == one:
+def _summandwise(field, x: GradedObject, y: GradedObject, coeff, flip: bool) -> GradedMap:
+    """``summand_scaling``, or with ``flip`` ``flip_map``, from one walk over
+    the summands of X (x) Y (= Y (x) X, as the degree sum commutes), which
+    gives each its offset and its coefficient, tested by reference before
+    ``==``.  Y (x) X orders a degree's summands by j, which there rises or
+    falls with i in each grading ({0}, Z/2, N), as its first two summands
+    show; where it falls, an image starts where its mirror ends.  The map
+    is the interned identity exactly when every coefficient is one and, for
+    a flip, no degree is reversed and no summand has dim X_i > 1 and
+    dim Y_j > 1."""
+    xy = tensor_obj(x, y)
+    add, one = x.monoid.add, field.one
+    # degree -> end of the summands walked there, and -> j of its first one;
+    # the degrees whose summands Y (x) X lists in reverse
+    ends, firsts, down, walk, ident = {}, {}, set(), [], True
+    for i, dx in x.dims:
+        for j, dy in y.dims:
+            n = add(i, j)
+            s0 = ends.get(n, 0)
+            if not s0:
+                firsts[n] = j
+            elif flip and j < firsts[n]:
+                down.add(n)
+            ends[n] = s0 + dx * dy
+            v = coeff(i, j)
+            if v is not one and v == one:
                 v = one
-            else:
-                ones = False
-        out.append((i, j, n, off, xd[i], yd[j], v))
-    return out, ones
-
-
-def _summand_blocks(obj: GradedObject, cols: dict) -> tuple:
-    """The canonical block tuple of ``cols`` (degree -> column list), in
-    the degree order of ``obj``."""
-    return tuple((n, tuple(cols[n])) for n in obj.degrees if n in cols)
+            ident = ident and v is one and (not flip or dx == 1 or dy == 1)
+            walk.append((n, s0, dx, dy, v))
+    if ident and not down:
+        return identity(field, xy)
+    units = _units(field, xy.total_dim)
+    cols = {n: [()] * k for n, k in sorted(ends.items())}
+    for n, s0, dx, dy, v in walk:
+        if not v:
+            continue
+        col, size = cols[n], dx * dy
+        t0 = ends[n] - s0 - size if n in down else s0
+        if size == 1:
+            col[s0] = units[t0] if v is one else (t0, v)
+            continue
+        # a flip sends (a, b) at s0 + a dy + b to row t0 + b dx + a: for each
+        # a, rows of step dx (one run of rows when dx or dy is 1)
+        step = dx if flip and dy > 1 else 1
+        width = size // step
+        for a in range(step):
+            c = s0 + a * width
+            col[c:c + width] = (units[t0 + a:t0 + size:step] if v is one
+                                else [(r, v) for r in range(t0 + a, t0 + size, step)])
+    return GradedMap(field, xy, xy, tuple((n, tuple(c)) for n, c in cols.items() if any(c)))
 
 
 def flip_map(field, x: GradedObject, y: GradedObject,
              coeff: Callable[[int, int], object]) -> GradedMap:
-    """X (x) Y -> Y (x) X sending (i, j, a, b) to coeff(i, j) (j, i, b, a).
-
-    The map is the identity exactly when every summand X_i (x) Y_j has
-    coefficient one, starts at the same offset in both products, and has
-    dim X_i = 1 or dim Y_j = 1 (otherwise (a, b) -> (b, a) moves an
-    index).  That is settled per summand, and the interned identity is
-    returned before any column is written; otherwise the canonical
-    columns are written directly, a unit entry as the shared column."""
-    src, tgt = tensor_obj(x, y), tensor_obj(y, x)
-    back = _summand_offsets(y, x)
-    summands, ones = _coefficients(field, x, y, coeff)
-    if ones and src is tgt and all(back[(j, i)][1] == s0 and (dx == 1 or dy == 1)
-                                   for i, j, _, s0, dx, dy, _ in summands):
-        return identity(field, src)
-    one = field.one
-    units = _units(field, tgt.total_dim)
-    sizes = dict(src.dims)
-    cols: dict = {}
-    for i, j, n, s0, dx, dy, v in summands:
-        if not v:
-            continue
-        col = cols.get(n)
-        if col is None:
-            col = cols[n] = [()] * sizes[n]
-        t0 = back[(j, i)][1]
-        for a in range(dx):
-            for b in range(dy):
-                r = t0 + b * dx + a
-                col[s0 + a * dy + b] = units[r] if v is one else (r, v)
-    return GradedMap(field, src, tgt, _summand_blocks(src, cols))
+    """X (x) Y -> Y (x) X sending (i, j, a, b) to coeff(i, j) (j, i, b, a),
+    written in one walk over the summands (``_summandwise``)."""
+    return _summandwise(field, x, y, coeff, True)
 
 
 def summand_scaling(field, x: GradedObject, y: GradedObject,
                     coeff: Callable[[int, int], object]) -> GradedMap:
-    """The endomorphism of X (x) Y acting on X_i (x) Y_j by coeff(i, j).
-
-    The identity exactly when every coefficient is one, which is settled
-    per summand before any column is written; otherwise the canonical
-    columns are written directly, a unit entry as the shared column."""
-    xy = tensor_obj(x, y)
-    summands, ones = _coefficients(field, x, y, coeff)
-    if ones:
-        return identity(field, xy)
-    one = field.one
-    units = _units(field, xy.total_dim)
-    sizes = dict(xy.dims)
-    cols: dict = {}
-    for _, _, n, s0, dx, dy, v in summands:
-        if not v:
-            continue
-        col = cols.get(n)
-        if col is None:
-            col = cols[n] = [()] * sizes[n]
-        end = s0 + dx * dy
-        col[s0:end] = units[s0:end] if v is one else [(r, v) for r in range(s0, end)]
-    return GradedMap(field, xy, xy, _summand_blocks(xy, cols))
+    """The endomorphism of X (x) Y acting on X_i (x) Y_j by coeff(i, j),
+    written in one walk over the summands (``_summandwise``)."""
+    return _summandwise(field, x, y, coeff, False)
 
 
 def degree_scaling(field, x: GradedObject,

@@ -72,7 +72,11 @@ class Rationals:
         return Fraction(n)
 
     def parse(self, text: str):
+        # Fraction writes out 10 ** e; past 4300 digits Python prints no int
+        mantissa, _, exponent = str(text).lower().partition("e")
         try:
+            if exponent and len(mantissa) + abs(int(exponent)) > 4300:
+                raise ValueError("exponent too large")
             return Fraction(str(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational scalar: {text!r}") from exc

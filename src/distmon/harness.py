@@ -450,12 +450,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
+        handle = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ParseError(f"cannot read scenario file: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"scenario file is not valid JSON: {exc}") from None
+    with handle:
+        try:
+            doc = json.load(handle)
+        except OSError as exc:
+            raise ParseError(f"cannot read scenario file: {exc}") from None
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too long
+            raise ParseError(f"scenario file is not valid JSON: {exc}") from None
     return scenario_from_dict(doc)
 
 

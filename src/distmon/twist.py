@@ -35,8 +35,8 @@ from .exactlin import (
 )
 # scalar_axiom_sides is re-exported beside the axiom table it evaluates
 from .distortion import (
-    STRUCTURAL_NOTE, StructuralFamily, binaturality_phase, scalar_axiom_sides,
-    scalar_route, shared,
+    STRUCTURAL_NOTE, StructuralFamily, binaturality_phase, compose_links,
+    scalar_axiom_sides, scalar_route, shared,
 )
 from .reports import CheckBudget, CheckReport, Phase, Side, decide
 
@@ -99,11 +99,7 @@ def twist(beta, e):
 
 
 def _axiom_sides(field, e, beta, axiom: str, x, y, z):
-    """(lhs, rhs, factors) for one triple-quantified axiom instance.
-
-    The cocycle forms are built once per structural e (``shared``), so
-    E2R_cocycle reuses the ones E2L_cocycle built.
-    """
+    """(lhs, rhs, factors) for one instance of E2L, E2R, BL or BR."""
     xy = tensor_obj(x, y)
     yz = tensor_obj(y, z)
     idx = identity(field, x)
@@ -122,16 +118,6 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
         rhs = compose(tensor_map(e.at(field, x, y), idz),
                       compose(e.at(field, xy, z), alinv))
         return lhs, rhs, (x, (y, z))
-    if axiom in ("E2L_cocycle", "E2R_cocycle"):
-        pair_form = shared(e, ("pair", field, x, y, z), lambda: compose(
-            e.at(field, xy, z), tensor_map(e.at(field, x, y), idz)))
-        split_form = shared(e, ("split", field, x, y, z), lambda: compose(
-            tensor_map(idx, e.at(field, y, z)), e.at(field, x, yz)))
-        if axiom == "E2L_cocycle":
-            return (compose(al, pair_form), compose(split_form, al),
-                    ((x, y), z))
-        return (compose(pair_form, alinv), compose(alinv, split_form),
-                (x, (y, z)))
     if axiom == "BL":
         front = compose(tensor_map(idx, beta.at(field, y, z)),
                         tensor_map(idx, e.at(field, y, z)))
@@ -151,13 +137,39 @@ def _axiom_sides(field, e, beta, axiom: str, x, y, z):
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
+def _cocycles(field, e, left: bool, objs):
+    """E2L_cocycle's (``left``) or E2R_cocycle's instances: the pair form
+    ``e_{XY,Z} o (e_{X,Y} (x) Id)`` and the split form ``(Id (x) e_{Y,Z}) o
+    e_{X,YZ}``, each built once for both axioms (``shared``), conjugated by
+    the associator.  The walk takes each prefix's tensor and e(X, Y) once,
+    and no interned identity enters a composite (``compose_links``)."""
+    for x in objs:
+        idx = identity(field, x)
+        for y in objs:
+            xy, exy = tensor_obj(x, y), e.at(field, x, y)
+            for z in objs:
+                pair = shared(e, ("pair", field, x, y, z), lambda: compose_links(
+                    e.at(field, xy, z), tensor_map(exy, identity(field, z))))
+                split = shared(e, ("split", field, x, y, z), lambda: compose_links(
+                    tensor_map(idx, e.at(field, y, z)), e.at(field, x, tensor_obj(y, z))))
+                if left:
+                    a = associator(field, x, y, z)
+                    yield (x, y, z), [Side(compose_links(a, pair),
+                                           compose_links(split, a), ((x, y), z))]
+                else:
+                    a = associator_inv(field, x, y, z)
+                    yield (x, y, z), [Side(compose_links(pair, a),
+                                           compose_links(a, split), (x, (y, z)))]
+
+
 # ---------------------------------------------------------------------------
 # the axiom checker
 
 
 def check_idempotent_axiom(field, e, axiom: str, universe, budget: CheckBudget,
                            beta=None) -> CheckReport:
-    """Decide one axiom of the twist construction by exact matrix equality."""
+    """Decide one axiom of the twist construction by exact matrix equality;
+    E2L_cocycle and E2R_cocycle walk their triples in ``_cocycles``."""
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}")
     if axiom in ("BL", "BR") and beta is None:
@@ -187,8 +199,9 @@ def check_idempotent_axiom(field, e, axiom: str, universe, budget: CheckBudget,
 
         return decide("E1", Phase(normalizations()))
 
-    triples = (((x, y, z), [Side(*_axiom_sides(field, e, beta, axiom, x, y, z))])
-               for x, y, z in product(objs, repeat=3))
+    triples = (_cocycles(field, e, axiom == "E2L_cocycle", objs) if "cocycle" in axiom
+               else (((x, y, z), [Side(*_axiom_sides(field, e, beta, axiom, x, y, z))])
+                     for x, y, z in product(objs, repeat=3)))
     note = agrees = None
     if e.structural and (beta is None or beta.structural):
         note = "structural scalar route cross-checked"

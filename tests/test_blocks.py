@@ -29,7 +29,7 @@ from distmon import (
 from distmon.errors import MonoidMismatch, ObjectMismatch
 from distmon.exactlin import (
     collapse_laxator, degree_scaling, elementary_maps, factor_degrees, flip_map,
-    summand_scaling,
+    mat_mul, summand_scaling,
 )
 from distmon.fields import RATIONAL
 from distmon.reports import first_difference
@@ -687,3 +687,127 @@ def test_flips_and_scalings_match_the_column_reference(universe, field):
     pairs = len(universe) ** 2
     assert 0 < identities["flip"] < pairs * len(coefficient_rules(field))
     assert 0 < identities["scaling"] < pairs * len(coefficient_rules(field))
+
+
+# ---------------------------------------------------------------------------
+# whiskering by an interned identity, the one-walk flips and scalings, and
+# zero columns in ``mat_mul``
+
+
+def patterned_map(field, src, tgt, kind):
+    """A fixed map src -> tgt: ``dense`` fills every entry from the palette
+    (zeros included), ``sparse`` puts one entry in two of every three
+    columns and leaves the third zero."""
+    values = palette(field)
+    blocks = {}
+    for d, n in src.dims:
+        m = tgt.dim(d)
+        if not m:
+            continue
+        rows = zero_rows(field, m, n)
+        for c in range(n):
+            if kind == "dense":
+                for r in range(m):
+                    rows[r][c] = values[(d + 3 * r + 5 * c) % len(values)]
+            elif c % 3 != 1:
+                rows[(c + d) % m][c] = values[(1 + c + 2 * d) % len(values)] or field.one
+        blocks[d] = rows
+    return graded_map(field, src, tgt, blocks)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Fp"])
+@pytest.mark.parametrize("universe", SUMMAND_OBJECTS, ids=["nat", "parity"])
+def test_whiskering_by_the_interned_identity_matches_a_value_equal_copy(universe, field):
+    """``id_W (x) m`` and ``m (x) id_W`` with the interned identity give the
+    map that a value-equal copy of it gives, and the dense reference: mixed
+    dimensions, zero and dense columns, targets other than the source."""
+    objs = universe[:6]
+    for w, x, y in product(objs, repeat=3):
+        ident = identity(field, w)
+        copy = graded_map(field, w, w, dict(ident.dense_blocks()))
+        assert copy == ident and copy is not ident
+        for kind in ("dense", "sparse"):
+            m = patterned_map(field, x, y, kind)
+            for f, g, f_copy, g_copy in ((ident, m, copy, m), (m, ident, m, copy)):
+                got = tensor_map(f, g)
+                assert got == tensor_map(f_copy, g_copy), (kind, w, x, y)
+                assert_canonical(got)
+                assert dense(got) == ref_tensor(field, f, g)
+
+
+def layout_offsets(first, second, n):
+    """Offset in degree n of each summand (i, j) of ``first (x) second``,
+    from the layout rule: the summands of a degree by ascending i."""
+    add = first.monoid.add
+    out, off = {}, 0
+    for i, di in first.dims:
+        for j, dj in second.dims:
+            if add(i, j) == n:
+                out[(i, j)] = off
+                off += di * dj
+    return out
+
+
+def layout_summand_map(field, x, y, coeff, flip):
+    """Dense blocks of ``flip_map`` (``flip``) or ``summand_scaling``: the
+    basis vector (a, b) of X_i (x) Y_j, at s0 + a dim Y_j + b, goes to
+    coeff(i, j) times row t0 + b dim X_i + a of Y_j (x) X_i for a flip,
+    and to its own row for a scaling."""
+    out = {}
+    for n, size in tensor_obj(x, y).dims:
+        block = zero_rows(field, size, size)
+        src, back = layout_offsets(x, y, n), layout_offsets(y, x, n)
+        for (i, j), s0 in src.items():
+            dx, dy = x.dim(i), y.dim(j)
+            for a in range(dx):
+                for b in range(dy):
+                    col = s0 + a * dy + b
+                    row = back[(j, i)] + b * dx + a if flip else col
+                    block[row][col] = coeff(i, j)
+        out[n] = block
+    return drop_zero(field, out)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Fp"])
+@pytest.mark.parametrize("universe", SUMMAND_OBJECTS, ids=["nat", "parity"])
+def test_one_walk_flips_and_scalings_match_the_layout_rule(universe, field):
+    """Every pair of a fixed list, under rules with zero and non-one
+    coefficients: the dense blocks of the layout rule, and the interned
+    identity exactly when those blocks are the identity."""
+    reversed_degrees = 0
+    for name, coeff in coefficient_rules(field).items():
+        for x, y in product(universe, repeat=2):
+            for flip, build in ((True, flip_map), (False, summand_scaling)):
+                got = build(field, x, y, coeff)
+                ref = layout_summand_map(field, x, y, coeff, flip)
+                assert_canonical(got)
+                assert dense(got) == ref, (name, flip, x, y)
+                xy = tensor_obj(x, y)
+                trivial = ref == ref_identity_blocks(field, xy)
+                assert (got is identity(field, xy)) == trivial
+            offsets = [layout_offsets(x, y, n) for n in tensor_obj(x, y).degrees]
+            reversed_degrees += any(list(o) != sorted(o, key=lambda p: p[1])
+                                    for o in offsets)
+    assert reversed_degrees  # Y (x) X lists some degree's summands in reverse
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Fp"])
+def test_mat_mul_keeps_zero_columns_zero(field):
+    """Zero columns of ``b`` come out as zero columns, whatever ``a`` holds,
+    and every other column is the dense product."""
+    two, one, zero = field.from_int(2), field.one, field.zero
+    a = ((0, two), (), (0, one, 2, two), (1, one))  # a 3 x 4 block
+    a_rows = [[two, zero, one, zero], [zero, zero, zero, one], [zero, zero, two, zero]]
+    for b in (((),), ((), ()), ((), (0, one), (), (1, two, 2, one), ()),
+              ((2, one), (), (0, two, 3, one))):
+        b_rows = zero_rows(field, 4, len(b))
+        for c, col in enumerate(b):
+            for r, v in zip(col[0::2], col[1::2]):
+                b_rows[r][c] = v
+        got, ref = mat_mul(field, a, b), ref_mul(field, a_rows, b_rows)
+        assert len(got) == len(b)
+        for c, col in enumerate(got):
+            assert list(col) == [x for r, row in enumerate(ref) if row[c] != zero
+                                 for x in (r, row[c])]
+            if not b[c]:
+                assert col == ()

@@ -8,8 +8,12 @@ import copy
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +28,7 @@ from distmon import (
     run_examples, run_suite, scenario_from_dict,
 )
 from distmon.errors import ValidationError
+from distmon.fields import RATIONAL
 from distmon.harness import CHECKS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -108,13 +113,20 @@ FILE_ERRORS = [
     ("missing", None, "error: cannot read scenario file: "),
     ("invalid-json", b'{"field": ', "error: scenario file is not valid JSON: "),
     ("utf16-bom", b"\xff\xfe{}", "error: scenario file is not valid JSON: "),
+    # the decoder recurses once per array, and Python refuses to convert an
+    # integer literal of more than 4300 digits
+    ("deep-arrays", b"[" * 100_000, "error: scenario file is not valid JSON: "),
+    ("long-integer", b'{"seed": ' + b"7" * 5000 + b"}",
+     "error: scenario file is not valid JSON: "),
+    # open() refuses a path with a NUL byte by ValueError, before any read
+    ("nul-byte-path", None, "error: cannot read scenario file: "),
 ]
 
 
-@pytest.mark.parametrize("content,prefix", [(c, p) for _, c, p in FILE_ERRORS],
+@pytest.mark.parametrize("name,content,prefix", FILE_ERRORS,
                          ids=[name for name, _, _ in FILE_ERRORS])
-def test_cli_reports_unreadable_files_on_one_keyless_line(tmp_path, content, prefix):
-    path = tmp_path / "scenario.json"
+def test_cli_reports_unreadable_files_on_one_keyless_line(tmp_path, name, content, prefix):
+    path = tmp_path / ("scen\0ario.json" if name == "nul-byte-path" else "scenario.json")
     if content is not None:
         path.write_bytes(content)
     out, err = io.StringIO(), io.StringIO()
@@ -125,6 +137,29 @@ def test_cli_reports_unreadable_files_on_one_keyless_line(tmp_path, content, pre
     assert err.getvalue().startswith(prefix)
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("t", ["1e999999999", "1E-999999999", "1e4400",
+                               "9" * 4000 + "e500"])
+def test_a_huge_exponent_is_refused_in_bounded_time(t, tmp_path):
+    """``Fraction`` would write out 10 ** exponent, which takes minutes for
+    the first two and leaves a number too long to print for the others."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(nat_doc(**{"lambda": {"kind": "character", "t": t}})))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    start = time.perf_counter()
+    command = [sys.executable, "-m", "distmon.cli", "check", "--scenario", str(path)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 20
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: lambda.t: not a rational scalar: ")
+    assert ERROR_LINE.match(done.stderr)
+
+
+def test_exponents_within_the_bound_still_parse():
+    assert RATIONAL.parse("1.5e3") == Fraction(1500)
+    assert RATIONAL.parse(" 2E-2 ") == Fraction(1, 50)
+    assert RATIONAL.parse("1e4299") == Fraction(10) ** 4299
 
 
 def test_composable_rows_are_accepted():
